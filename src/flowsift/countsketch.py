@@ -188,12 +188,19 @@ class CountSketchTable:
     @classmethod
     def from_bytes(cls, data: bytes) -> "CountSketchTable":
         head_size = struct.calcsize("<4sBBII q")
+        if len(data) < head_size:
+            raise ValueError(f"snapshot of {len(data)} bytes is shorter than "
+                             f"its {head_size}-byte header")
         magic, version, fam_code, rows, buckets, total_l1 = struct.unpack(
             "<4sBBII q", data[:head_size])
         if magic != _SNAPSHOT_MAGIC:
             raise ValueError(f"bad snapshot magic {magic!r}")
         if version != _SNAPSHOT_VERSION:
             raise ValueError(f"unsupported snapshot version {version}")
+        expected = head_size + 32 * rows + 8 * rows * buckets
+        if len(data) != expected:
+            raise ValueError(f"snapshot is {len(data)} bytes, expected {expected} "
+                             f"for {rows} x {buckets} counters")
         family = hashing.FAMILIES[fam_code]
         offset = head_size
         row_hashes, sign_hashes = [], []

@@ -4,6 +4,11 @@ A packet is out of order when its id is at or below the flow's highest
 seen id and the flow was active within the recency window (default
 3 ms). Per-flow state (max id, last packet time) lives in a bounded
 two-way cuckoo cache; an unbounded dict mode backs oracle-style tests.
+Each live entry also stores the slot it holds and its alternate slot,
+hashed once per batch: expiry frees exactly that slot, a dropped key
+holds none, and a kick moves an occupant to its stored alternate without re-hashing. The
+cache's one per-packet loop needs DATA timestamps in non-decreasing
+order and raises ValueError on a timestamp that goes back.
 Qualifying packets feed a weighted frequent-items table with 1/eps
 slots, so any flow holding more than an eps fraction of the total
 out-of-order weight is guaranteed a slot at stream end, and every slot
@@ -19,10 +24,12 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import repeat
 
 from . import hashing
-from .packets import PacketType
+from .packets import KEY_BYTES, PacketType
 from .reports import HeavyReport
+from .traceio import Trace
 
 # Accounting per entry/slot, in bytes: key plus the stated payload.
 CACHE_ENTRY_BYTES = 13 + 8 + 8   # key, max_seq, last_ts
@@ -32,11 +39,19 @@ TOP_SLOT_BYTES = 13 + 8          # key, weight
 class RecencyCache:
     """Bounded map flow key -> (max seq, last packet ts) within a window.
 
-    Two-way cuckoo layout: each key has two candidate slots; insertion
-    kicks occupants along a short chain and drops whatever entry is
-    still displaced when the chain dead-ends (counted in ``dropped``).
+    Two-way cuckoo layout: each key has one candidate slot in each half
+    of the slot array, both hashed once per batch. A live entry is
+    stored as ``[max_seq, last_ts, slot, alternate]``: the slot it holds
+    and its other candidate. Expiry clears exactly that slot and a
+    dropped key holds none, so a slot is occupied only by a live key. A new key takes a free
+    candidate, else kicks occupants to their stored alternates along a
+    chain of at most ``_MAX_KICKS`` moves, and whichever key is still
+    displaced at the end is dropped (counted in ``dropped``).
     ``exact=True`` swaps in an unbounded dict with identical semantics
     for oracle-style tests.
+
+    ``observe`` is the only way in, and it needs DATA timestamps in
+    non-decreasing order, within a batch and across batches.
     """
 
     _MAX_KICKS = 8
@@ -46,7 +61,7 @@ class RecencyCache:
         self.window_ns = window_ns
         self.exact = exact
         self.dropped = 0
-        self._entries: dict[bytes, tuple[int, int]] = {}
+        self._entries: dict[bytes, list] = {}
         self._expiry: deque[tuple[int, bytes]] = deque()
         if not exact:
             if capacity < 2:
@@ -60,53 +75,77 @@ class RecencyCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def _slot_pair(self, key: bytes) -> tuple[int, int]:
-        x = hashing.fold64(key)
-        s1 = hashing.bucket_of_fold(self._h1, x, self._half)
-        s2 = self._half + hashing.bucket_of_fold(self._h2, x, self._half)
-        return s1, s2
-
     def get(self, key: bytes, now_ns: int) -> "tuple[int, int] | None":
         """Entry for key, or None if absent or stale at time now_ns."""
         entry = self._entries.get(key)
         if entry is None or now_ns - entry[1] > self.window_ns:
             return None
-        return entry
+        return entry[0], entry[1]
 
-    def put(self, key: bytes, max_seq: int, last_ts: int) -> None:
-        if self.exact or key in self._entries:
-            self._entries[key] = (max_seq, last_ts)
-            self._expiry.append((last_ts, key))
-            self.expire(last_ts)
+    def observe(self, data: Trace) -> list[int]:
+        """Feed a batch of DATA records; return the indices of the
+        out-of-order packets, in arrival order.
+
+        Raises ValueError when a timestamp is earlier than the one before
+        it, in this batch or the last one the cache saw.
+        """
+        if len(data) == 0:
+            return []
+        stamps = data.ts
+        last = self._expiry[-1][0] if self._expiry else 0
+        if stamps[0] < last or (stamps[1:] < stamps[:-1]).any():
+            raise ValueError("DATA timestamps go backwards; out-of-order detection "
+                             "needs a time-sorted trace")
+        keys = data.key_matrix()
+        if self.exact:
+            first = second = repeat(None)
+        else:
+            folds = hashing.fold64_matrix(keys)
+            first = hashing.bucket_batch(self._h1, folds, self._half).tolist()
+            second = (self._half
+                      + hashing.bucket_batch(self._h2, folds, self._half)).tolist()
+        blob = keys.tobytes()
+        entries, expiry = self._entries, self._expiry
+        late = []
+        for i, (ts, seq, slot, alternate) in enumerate(
+                zip(stamps.tolist(), data.seq.tolist(), first, second)):
+            self.expire(ts)     # afterwards every remaining entry is fresh
+            key = blob[i * KEY_BYTES:(i + 1) * KEY_BYTES]
+            entry = entries.get(key)
+            if entry is None:
+                self._insert(key, [seq, ts, slot, alternate])
+            else:
+                if seq <= entry[0]:
+                    late.append(i)
+                else:
+                    entry[0] = seq
+                entry[1] = ts
+            expiry.append((ts, key))
+        return late
+
+    def _insert(self, key: bytes, entry: list) -> None:
+        """Register a new key; in the bounded layout, claim a slot for it,
+        kicking occupants to their stored alternates. Whatever key is still
+        displaced when the chain ends is dropped (possibly the new key)."""
+        entries = self._entries
+        entries[key] = entry
+        if self.exact:
             return
-        # register before placing so the kick chain sees the entry as live
-        self._entries[key] = (max_seq, last_ts)
-        self._expiry.append((last_ts, key))
-        s1, s2 = self._slot_pair(key)
-        self._place(key, s1, s2)
-        self.expire(last_ts)
-
-    def _place(self, key: bytes, s1: int, s2: int) -> None:
-        """Claim a slot for a freshly registered key, kicking occupants
-        along a bounded chain; whatever entry is still displaced when the
-        chain dead-ends is dropped (possibly the new key itself)."""
-        carried = key
-        came_from = -1
+        slots = self._slots
+        if slots[entry[2]] is not None and slots[entry[3]] is None:
+            entry[2], entry[3] = entry[3], entry[2]
         for _ in range(self._MAX_KICKS):
-            for s in (s1, s2):
-                occupant = self._slots[s]
-                if occupant is None or occupant not in self._entries:
-                    self._slots[s] = carried
-                    return
-            kick = s2 if s1 == came_from else s1
-            carried, self._slots[kick] = self._slots[kick], carried
-            came_from = kick
-            s1, s2 = self._slot_pair(carried)
+            key, slots[entry[2]] = slots[entry[2]], key
+            if key is None:
+                return
+            entry = entries[key]
+            entry[2], entry[3] = entry[3], entry[2]
+        del entries[key]
         self.dropped += 1
-        self._entries.pop(carried, None)
 
     def expire(self, now_ns: int) -> None:
-        """Drop entries whose last packet is older than the window."""
+        """Drop entries whose last packet is older than the window and
+        free their slots."""
         cutoff = now_ns - self.window_ns
         expiry = self._expiry
         entries = self._entries
@@ -115,9 +154,11 @@ class RecencyCache:
             entry = entries.get(key)
             if entry is not None and entry[1] == ts:
                 del entries[key]
+                if not self.exact:
+                    self._slots[entry[2]] = None
 
     def active_flows(self) -> dict[bytes, tuple[int, int]]:
-        return dict(self._entries)
+        return {key: (entry[0], entry[1]) for key, entry in self._entries.items()}
 
     def memory_bytes(self) -> int:
         count = len(self._entries) if self.exact else self.capacity
@@ -194,69 +235,20 @@ class OooDetector:
         return 1.0 / self.slots
 
     def observe(self, packet) -> None:
-        if packet.ptype != PacketType.DATA:
-            self.skipped += 1
-            return
-        self._observe(packet.key.to_bytes(), int(packet.seq), int(packet.ts),
-                      int(packet.size))
+        """One packet, as a trace of one."""
+        self.observe_trace(Trace.from_records([packet]))
 
-    def _observe(self, key: bytes, seq: int, ts: int, size: int) -> None:
-        entry = self.cache.get(key, ts)
-        if entry is None:
-            self.cache.put(key, seq, ts)
-            return
-        max_seq = entry[0]
-        if seq <= max_seq:
-            self.table.absorb(key, size if self.weight_mode == "bytes" else 1)
-            self.cache.put(key, max_seq, ts)
-        else:
-            self.cache.put(key, seq, ts)
-
-    def observe_trace(self, trace) -> None:
-        """Stream a whole trace: same semantics as observe(), packet by
-        packet, with the per-flow slot hashes precomputed in bulk."""
+    def observe_trace(self, trace: Trace) -> None:
+        """Stream a time-sorted trace: the cache picks out the out-of-order
+        DATA packets, and their weights are absorbed in arrival order."""
         data = trace.select(trace.ptype == int(PacketType.DATA))
         self.skipped += len(trace) - len(data)
-        if len(data) == 0:
-            return
-        blob = data.key_matrix().tobytes()
-        seqs = data.seq.tolist()
-        stamps = data.ts.tolist()
-        weights = data.size.tolist() if self.weight_mode == "bytes" else None
-        cache = self.cache
-        if not cache.exact:
-            folds = hashing.fold64_matrix(data.key_matrix())
-            slot1 = hashing.bucket_batch(cache._h1, folds, cache._half).tolist()
-            slot2 = (cache._half
-                     + hashing.bucket_batch(cache._h2, folds, cache._half)).tolist()
-        entries = cache._entries
-        expiry = cache._expiry
-        window = cache.window_ns
+        late = data.select(self.cache.observe(data))
+        weights = late.size.tolist() if self.weight_mode == "bytes" else [1] * len(late)
+        blob = late.key_matrix().tobytes()
         absorb = self.table.absorb
-        for i in range(len(seqs)):
-            key = blob[i * 13:i * 13 + 13]
-            ts = stamps[i]
-            seq = seqs[i]
-            entry = entries.get(key)
-            if entry is not None and ts - entry[1] <= window:
-                max_seq = entry[0]
-                if seq <= max_seq:
-                    absorb(key, weights[i] if weights else 1)
-                    entries[key] = (max_seq, ts)
-                else:
-                    entries[key] = (seq, ts)
-            elif entry is not None or cache.exact:
-                entries[key] = (seq, ts)
-            else:
-                entries[key] = (seq, ts)
-                cache._place(key, slot1[i], slot2[i])
-            expiry.append((ts, key))
-            cutoff = ts - window
-            while expiry[0][0] < cutoff:
-                old_ts, old_key = expiry.popleft()
-                old = entries.get(old_key)
-                if old is not None and old[1] == old_ts:
-                    del entries[old_key]
+        for i, weight in enumerate(weights):
+            absorb(blob[i * KEY_BYTES:(i + 1) * KEY_BYTES], weight)
 
     def topk(self, k: int) -> HeavyReport:
         entries = [(key, w) for key, w in self.table.occupied() if w > 0]

@@ -12,6 +12,7 @@ record objects; a million-packet epoch stays a handful of numpy arrays.
 from __future__ import annotations
 
 import hashlib
+import os
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -162,6 +163,10 @@ def read_trace(path: "str | Path") -> Trace:
         magic = f.read(4)
         if magic != TRACE_MAGIC:
             raise ValueError(f"{path}: bad magic {magic!r}, expected {TRACE_MAGIC!r}")
+        payload = os.fstat(f.fileno()).st_size - len(TRACE_MAGIC)
+        if payload % RECORD_BYTES:
+            raise ValueError(f"{path}: truncated trace, {payload} record bytes is not "
+                             f"a multiple of {RECORD_BYTES}")
         arr = np.fromfile(f, dtype=RECORD_DTYPE)
     return Trace(arr)
 

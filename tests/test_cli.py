@@ -1,8 +1,10 @@
 import json
 
+import numpy as np
 import pytest
 
 from flowsift.cli import main
+from flowsift.traceio import load_trace, write_trace
 
 
 def run_cli(*argv):
@@ -121,3 +123,26 @@ def test_mismatched_manifest_is_data_error(workspace, tmp_path):
     code = run_cli("--trace", trace, "--manifest", bad, "run",
                    "--detector", "latency")
     assert code == 3
+
+
+def test_truncated_trace_is_data_error(workspace, tmp_path):
+    _, trace = workspace
+    cut = tmp_path / "cut.lmt"
+    cut.write_bytes(trace.read_bytes()[:-17])
+    assert run_cli("--trace", cut, "run", "--detector", "loss") == 3
+
+
+def test_short_snapshot_is_data_error(tmp_path):
+    snapshot, candidates = tmp_path / "short.bin", tmp_path / "cand.csv"
+    snapshot.write_bytes(b"LMCS\x01" + b"\x00" * 5)
+    candidates.write_text("key_hex,ts,value\n")
+    assert run_cli("report", "--snapshot", snapshot, "--candidates", candidates) == 3
+
+
+def test_unsorted_trace_is_data_error_for_ooo(workspace, tmp_path):
+    _, trace = workspace
+    shuffled = tmp_path / "shuffled.lmt"
+    records = load_trace(trace)
+    write_trace(records.select(np.random.default_rng(0).permutation(len(records))),
+                shuffled)
+    assert run_cli("--trace", shuffled, "run", "--detector", "ooo") == 3

@@ -182,6 +182,13 @@ def test_snapshot_round_trip(rng):
     assert back.seed_signature() == t.seed_signature()
 
 
+def test_snapshot_length_is_checked_exactly():
+    data = CountSketchTable(3, 16, run_seed=2).to_bytes()
+    for bad in (data[:10], data[:-1], data + b"\x00\x00"):
+        with pytest.raises(ValueError, match="snapshot"):
+            CountSketchTable.from_bytes(bad)
+
+
 def test_checked_mode_reports_row_and_bucket():
     t = CountSketchTable(2, 4, run_seed=1, checked=True)
     t.counters[:, :] = (1 << 62) - 2

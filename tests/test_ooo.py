@@ -1,8 +1,11 @@
 import numpy as np
+import pytest
 
+from flowsift.inject import InjectionPlan, inject_reorder
 from flowsift.ooo import OooDetector, RecencyCache, TopTable
 from flowsift.oracle import oracle_ooo
 from flowsift.packets import PacketType
+from flowsift.synth import SynthConfig, synthesize
 from flowsift.traceio import Trace
 
 from conftest import data_packet, make_key
@@ -139,10 +142,57 @@ def test_unbounded_cache_matches_truth():
 
 def test_cuckoo_cache_drops_are_counted():
     cache = RecencyCache(capacity=4, window_ns=10**12, run_seed=1)
-    for i in range(64):
-        cache.put(make_key(i).to_bytes(), 1, i)
+    cache.observe(Trace.from_records(
+        [data_packet(make_key(i), 1, i) for i in range(64)]))
     assert cache.dropped > 0
-    assert len(cache) <= 64
+    assert len(cache) <= 4
+
+
+@pytest.fixture(scope="module")
+def reorder_trace():
+    trace, _ = synthesize(SynthConfig(flows=2_000, packets=100_000, seed=0))
+    plan = InjectionPlan("reorder", 0.04, victims=100, pool=100, seed=0)
+    return inject_reorder(trace, plan)[0]
+
+
+@pytest.fixture(scope="module")
+def capacity_runs(reorder_trace):
+    """Detectors with a top table larger than the flow count, one per
+    cache capacity 2^4 ... 2^15, each run over the reorder trace."""
+    runs = []
+    for capacity in (1 << e for e in range(4, 16)):
+        det = OooDetector(slots=1 << 16, cache_capacity=capacity)
+        det.observe_trace(reorder_trace)
+        runs.append((capacity, det))
+    return runs
+
+
+def test_more_cache_never_drops_more_or_absorbs_less(capacity_runs):
+    dropped = [det.cache.dropped for _, det in capacity_runs]
+    absorbed = [det.table.total_weight for _, det in capacity_runs]
+    assert all(a >= b for a, b in zip(dropped, dropped[1:])), dropped
+    assert all(a <= b for a, b in zip(absorbed, absorbed[1:])), absorbed
+
+
+def test_cache_with_room_for_every_flow_matches_oracle(reorder_trace, capacity_runs):
+    truth = oracle_ooo(reorder_trace)
+    for capacity, det in capacity_runs:
+        if capacity >= 512:
+            assert det.cache.dropped == 0, capacity
+            assert dict(det.table.occupied()) == truth, capacity
+
+
+def test_timestamps_going_back_are_rejected():
+    rng = np.random.default_rng(5)
+    records = [data_packet(make_key(i % 20), i // 20 + 1, i * 1000)
+               for i in range(400)]
+    trace = Trace.from_records(records)
+    with pytest.raises(ValueError, match="time-sorted"):
+        OooDetector(slots=8).observe_trace(trace.select(rng.permutation(len(trace))))
+    det = OooDetector(slots=8)
+    det.observe_trace(trace.select(np.arange(200, 400)))
+    with pytest.raises(ValueError, match="time-sorted"):
+        det.observe_trace(trace.select(np.arange(200)))
 
 
 def test_top_table_displacement_keeps_weights_nonnegative():

@@ -2,10 +2,10 @@ import pytest
 
 from flowsift.packets import (Epoch, FlowKey, PacketRecord, PacketType,
                               canonicalize, key_bytes)
-from flowsift.traceio import (load_trace, read_trace, read_trace_text,
+from flowsift.traceio import (Trace, load_trace, read_trace, read_trace_text,
                               write_trace, write_trace_text)
 
-from conftest import random_keys
+from conftest import data_packet, make_key, random_keys
 
 
 def test_canonicalize_ordered_key_is_forward():
@@ -100,6 +100,15 @@ def test_read_trace_rejects_bad_magic(tmp_path):
     path = tmp_path / "bad.lmt"
     path.write_bytes(b"NOPE" + b"\x00" * 42)
     with pytest.raises(ValueError, match="magic"):
+        read_trace(path)
+
+
+def test_read_trace_rejects_truncated_file(tmp_path):
+    path = tmp_path / "cut.lmt"
+    write_trace(Trace.from_records(
+        [data_packet(make_key(i % 10), i + 1, i) for i in range(1000)]), path)
+    path.write_bytes(path.read_bytes()[:-17])
+    with pytest.raises(ValueError, match="cut.lmt.*truncated"):
         read_trace(path)
 
 
