@@ -24,7 +24,7 @@ from .hashing import HashPair
 
 _SNAPSHOT_MAGIC = b"LMCS"
 _SNAPSHOT_VERSION = 1
-_FAMILY_CODES = {name: i for i, name in enumerate(hashing.FAMILIES)}
+_SNAPSHOT_FAMILY = 0    # header byte 5: the multiply-shift hash family, the only one
 
 # Checked mode aborts before a counter can reach this magnitude.
 _OVERFLOW_LIMIT = 1 << 62
@@ -38,7 +38,6 @@ class CountSketchTable:
     """
 
     def __init__(self, rows: int, buckets: int, *, run_seed: int = 0,
-                 family: str = "multishift",
                  row_hashes: "list[HashPair] | None" = None,
                  sign_hashes: "list[HashPair] | None" = None,
                  checked: bool = False):
@@ -46,15 +45,14 @@ class CountSketchTable:
             raise ValueError("rows and buckets must be >= 1")
         self.rows = rows
         self.buckets = buckets
-        self.family = family
         self.checked = checked
         self.counters = np.zeros((rows, buckets), dtype=np.int64)
         self.total_l1 = 0
         if row_hashes is None:
-            row_hashes = [hashing.derive_hash_pair(run_seed, j, hashing.STREAM_BUCKET, family)
+            row_hashes = [hashing.derive_hash_pair(run_seed, j, hashing.STREAM_BUCKET)
                           for j in range(rows)]
         if sign_hashes is None:
-            sign_hashes = [hashing.derive_hash_pair(run_seed, j, hashing.STREAM_SIGN, family)
+            sign_hashes = [hashing.derive_hash_pair(run_seed, j, hashing.STREAM_SIGN)
                            for j in range(rows)]
         if len(row_hashes) != rows or len(sign_hashes) != rows:
             raise ValueError("need one bucket hash and one sign hash per row")
@@ -75,15 +73,10 @@ class CountSketchTable:
         """The error parameter implied by B = 9 / eps^2."""
         return float(np.sqrt(9.0 / self.buckets))
 
-    def _fold(self, key: bytes) -> int:
-        if self.family == "multishift":
-            return hashing.fold64(key)
-        return hashing.fold61(key)
-
     # -- updates -------------------------------------------------------------
 
     def update(self, key: bytes, delta: int) -> None:
-        x = self._fold(key)
+        x = hashing.fold64(key)
         for j in range(self.rows):
             b = hashing.bucket_of_fold(self.row_hashes[j], x, self.buckets)
             s = hashing.sign_of_fold(self.sign_hashes[j], x)
@@ -107,7 +100,7 @@ class CountSketchTable:
     # -- estimates -----------------------------------------------------------
 
     def _row_estimates(self, key: bytes) -> np.ndarray:
-        x = self._fold(key)
+        x = hashing.fold64(key)
         vals = np.empty(self.rows, dtype=np.int64)
         for j in range(self.rows):
             b = hashing.bucket_of_fold(self.row_hashes[j], x, self.buckets)
@@ -156,8 +149,6 @@ class CountSketchTable:
         """|signed-median estimate| for many equal-width keys at once."""
         if not keys:
             return []
-        if self.family != "multishift":
-            return [(key, abs(self.estimate(key))) for key in keys]
         matrix = np.frombuffer(b"".join(keys), dtype=np.uint8).reshape(len(keys), -1)
         values = np.abs(self.estimate_batch(hashing.fold64_matrix(matrix)))
         return list(zip(keys, values.tolist()))
@@ -165,7 +156,7 @@ class CountSketchTable:
     # -- linearity -----------------------------------------------------------
 
     def seed_signature(self) -> tuple:
-        return (self.family, self.rows, self.buckets,
+        return (self.rows, self.buckets,
                 tuple((h.a, h.b) for h in self.row_hashes),
                 tuple((h.a, h.b) for h in self.sign_hashes))
 
@@ -179,7 +170,7 @@ class CountSketchTable:
 
     def to_bytes(self) -> bytes:
         head = struct.pack("<4sBBII q", _SNAPSHOT_MAGIC, _SNAPSHOT_VERSION,
-                           _FAMILY_CODES[self.family], self.rows, self.buckets,
+                           _SNAPSHOT_FAMILY, self.rows, self.buckets,
                            self.total_l1)
         seeds = b"".join(struct.pack("<QQQQ", rh.a, rh.b, sh.a, sh.b)
                          for rh, sh in zip(self.row_hashes, self.sign_hashes))
@@ -197,22 +188,22 @@ class CountSketchTable:
             raise ValueError(f"bad snapshot magic {magic!r}")
         if version != _SNAPSHOT_VERSION:
             raise ValueError(f"unsupported snapshot version {version}")
+        if fam_code != _SNAPSHOT_FAMILY:
+            raise ValueError(f"unknown snapshot hash-family code {fam_code}")
         expected = head_size + 32 * rows + 8 * rows * buckets
         if len(data) != expected:
             raise ValueError(f"snapshot is {len(data)} bytes, expected {expected} "
                              f"for {rows} x {buckets} counters")
-        family = hashing.FAMILIES[fam_code]
         offset = head_size
         row_hashes, sign_hashes = [], []
         for j in range(rows):
             a1, b1, a2, b2 = struct.unpack_from("<QQQQ", data, offset)
             offset += 32
-            row_hashes.append(HashPair(a1, b1, j, family))
-            sign_hashes.append(HashPair(a2, b2, j, family))
+            row_hashes.append(HashPair(a1, b1, j))
+            sign_hashes.append(HashPair(a2, b2, j))
         counters = np.frombuffer(data, dtype="<i8", count=rows * buckets,
                                  offset=offset).reshape(rows, buckets)
-        table = cls(rows, buckets, family=family,
-                    row_hashes=row_hashes, sign_hashes=sign_hashes)
+        table = cls(rows, buckets, row_hashes=row_hashes, sign_hashes=sign_hashes)
         table.counters = counters.astype(np.int64)
         table.total_l1 = total_l1
         return table

@@ -4,13 +4,13 @@ Ties together synthesis, injection, streaming detection with the
 reporting gate, oracle comparison, and memory sweeps. Memory accounting
 follows the counter-array convention (budget = rows x buckets x 4-byte
 emulated counters; 40 kB with 5 rows means 2000 buckets per row);
-``extended_memory`` additionally counts caches, gates, and tracked-flow
+``extended_memory_bytes`` additionally counts caches, gates, and tracked-flow
 state, and both figures land in the result rows.
 
 Streaming runs in chunks: sketch updates are exact, and the mirroring
 gate is evaluated once per chunk for the flows that carried a
-triggering packet in it (the per-packet scalar path lives on each
-detector for the contractual semantics).
+triggering packet in it. Each detector's batch call returns the keys
+and folds the gate needs, so the harness derives none itself.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from statistics import median
 
 import numpy as np
 
-from . import hashing
 from .latency import LatencyDetector, TypeFilter
 from .loss import LossDetector
 from .ooo import CACHE_ENTRY_BYTES, OooDetector, TOP_SLOT_BYTES
@@ -110,7 +109,8 @@ class EvalResult:
     extended_memory_bytes: int = 0
 
     COLUMNS = ("detector", "memory_bytes", "fault_magnitude", "seed",
-               "recall", "precision", "runtime_ms", "packets_per_sec")
+               "recall", "precision", "runtime_ms", "packets_per_sec",
+               "extended_memory_bytes")
 
     def row(self) -> list:
         return [getattr(self, c) for c in self.COLUMNS]
@@ -145,49 +145,25 @@ def _stream_sketch_with_gate(trace: Trace, detector, trigger_types,
     gate for flows that carried a trigger-type packet in the chunk."""
     gate = BloomGate(cfg.gate_bits, run_seed=cfg.seed)
     log = CandidateLog(seed_signature=detector.table.seed_signature())
-    trigger = np.isin(trace.ptype, [int(t) for t in trigger_types])
+    trigger_codes = [int(t) for t in trigger_types]
     decided: set[int] = set()   # folds the gate has already ruled on
     for lo in range(0, len(trace), CHUNK):
-        sub = trace.select(slice(lo, min(lo + CHUNK, len(trace))))
-        folds = detector.observe_batch(sub)
-        if len(folds) == 0:
-            continue
-        chunk_trigger = trigger[lo:lo + CHUNK][_admitted_mask(detector, sub)]
-        hot = np.unique(folds[chunk_trigger])
+        sub = trace.select(slice(lo, lo + CHUNK))
+        admitted, keys, folds = detector.observe_batch(sub)
+        rows = np.flatnonzero(np.isin(sub.ptype[admitted], trigger_codes))
+        hot, first = np.unique(folds[rows], return_index=True)
         if len(hot) == 0:
             continue
         estimates = np.abs(detector.table.estimate_batch(hot))
         threshold = cfg.report_epsilon * detector.table.total_l1 / 2.0
         crossing = estimates >= threshold
-        if not crossing.any():
-            continue
-        fold_to_key = _fold_key_map(detector, sub, chunk_trigger)
-        now = int(sub.ts[-1]) if len(sub) else 0
-        for fold, est in zip(hot[crossing].tolist(),
-                             estimates[crossing].tolist()):
+        now = int(sub.ts[-1])
+        for fold, row, est in zip(hot[crossing].tolist(), rows[first[crossing]].tolist(),
+                                  estimates[crossing].tolist()):
             if fold not in decided:
                 decided.add(fold)
-                maybe_report(gate, log, fold_to_key[fold], est, threshold, now)
+                maybe_report(gate, log, keys[row].tobytes(), est, threshold, now)
     return log
-
-
-def _admitted_mask(detector, sub: Trace) -> np.ndarray:
-    if isinstance(detector, LatencyDetector):
-        types = detector.type_filter.requests | detector.type_filter.responses
-        return np.isin(sub.ptype, [int(t) for t in types])
-    return sub.ptype == int(PacketType.DATA)
-
-
-def _fold_key_map(detector, sub: Trace, trigger_mask: np.ndarray) -> dict:
-    admitted = sub.select(_admitted_mask(detector, sub))
-    chosen = admitted.select(trigger_mask)
-    if isinstance(detector, LatencyDetector):
-        matrix, _ = chosen.canonical_matrix()
-    else:
-        matrix = chosen.key_matrix()
-    folds = hashing.fold64_matrix(matrix)
-    blob, width = matrix.tobytes(), matrix.shape[1]
-    return {int(f): blob[i * width:(i + 1) * width] for i, f in enumerate(folds)}
 
 
 def compute_relevant(trace: Trace, cfg: DetectorConfig, k: int) -> list[bytes]:

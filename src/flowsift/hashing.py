@@ -1,14 +1,10 @@
-"""Seeded hash families for bucket selection and sign assignment.
+"""Seeded hash family for bucket selection and sign assignment.
 
-Two constructions behind one interface:
-
-* ``multishift`` (default): multiply-shift over a 64-bit FNV fold of the
-  key bytes. Bucket = fastrange on the high 32 bits of a*x + b, sign =
-  the top bit. Fast, vectorizable, and statistically indistinguishable
-  from pairwise independence for the workloads here.
-* ``modprime``: the textbook (a*x + b) mod p family with p = 2^61 - 1
-  over a mod-p fold of the key bytes. Slower; kept as the theory-grade
-  construction and exercised by the same statistical tests.
+One construction, multiply-shift over a 64-bit FNV-1a fold of the key
+bytes: bucket = fastrange on the high 32 bits of a*x + b, sign = the top
+bit. It is vectorizable, and statistically indistinguishable from
+pairwise independence for the workloads here. Each function has a scalar
+form and a vector form over prefolded keys, and the two match exactly.
 
 All seed material derives from a single 64-bit run seed: each (row,
 stream) slot gets run_seed XOR a golden-ratio multiple, expanded through
@@ -22,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 MASK64 = (1 << 64) - 1
-MERSENNE61 = (1 << 61) - 1
 GOLDEN64 = 0x9E3779B97F4A7C15
 _STREAM_SALT = 0xD1B54A32D192ED03
 
@@ -38,8 +33,6 @@ STREAM_FLOW_ID = 5
 STREAM_BLOOM = 6
 STREAM_CACHE = 7
 STREAM_DISTINCT = 8
-
-FAMILIES = ("multishift", "modprime")
 
 
 def splitmix64(state: int) -> tuple[int, int]:
@@ -58,27 +51,18 @@ class HashPair:
     a: int
     b: int
     row: int = 0
-    family: str = "multishift"
 
     def __post_init__(self) -> None:
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown hash family {self.family!r}")
         if self.a == 0:
             raise ValueError("multiplier a must be nonzero")
 
 
-def derive_hash_pair(run_seed: int, row: int, stream: int,
-                     family: str = "multishift") -> HashPair:
+def derive_hash_pair(run_seed: int, row: int, stream: int) -> HashPair:
     """Split one run seed into the (a, b) pair for a (row, stream) slot."""
     state = (run_seed ^ ((row + 1) * GOLDEN64) ^ (stream * _STREAM_SALT)) & MASK64
     state, a = splitmix64(state)
     state, b = splitmix64(state)
-    if family == "multishift":
-        a |= 1
-    else:
-        a = a % (MERSENNE61 - 1) + 1
-        b = b % MERSENNE61
-    return HashPair(a, b, row, family)
+    return HashPair(a | 1, b, row)
 
 
 # -- byte folding -------------------------------------------------------------
@@ -89,11 +73,6 @@ def fold64(data: bytes) -> int:
     for byte in data:
         h = ((h ^ byte) * _FNV_PRIME) & MASK64
     return h
-
-
-def fold61(data: bytes) -> int:
-    """Fold to the mod-p domain of the modprime family."""
-    return int.from_bytes(data, "little") % MERSENNE61
 
 
 def fold64_int(value: int) -> int:
@@ -125,43 +104,31 @@ def bucket_of_fold(pair: HashPair, x: int, buckets: int) -> int:
     """Bucket index in [0, buckets) for a prefolded key."""
     if buckets < 1:
         raise ValueError("bucket count must be >= 1")
-    if pair.family == "multishift":
-        z = (pair.a * x + pair.b) & MASK64
-        return ((z >> 32) * buckets) >> 32
-    z = (pair.a * (x % MERSENNE61) + pair.b) % MERSENNE61
-    return z % buckets
+    z = (pair.a * x + pair.b) & MASK64
+    return ((z >> 32) * buckets) >> 32
 
 
 def bucket(pair: HashPair, data: bytes, buckets: int) -> int:
-    x = fold64(data) if pair.family == "multishift" else fold61(data)
-    return bucket_of_fold(pair, x, buckets)
+    return bucket_of_fold(pair, fold64(data), buckets)
 
 
 def sign_of_fold(pair: HashPair, x: int) -> int:
     """+1 or -1, balanced over seeds, for a prefolded key."""
-    if pair.family == "multishift":
-        z = (pair.a * x + pair.b) & MASK64
-        return 1 if (z >> 63) == 0 else -1
-    z = (pair.a * (x % MERSENNE61) + pair.b) % MERSENNE61
-    return 1 if (z & 1) == 0 else -1
+    z = (pair.a * x + pair.b) & MASK64
+    return 1 if (z >> 63) == 0 else -1
 
 
 def sign(pair: HashPair, data: bytes) -> int:
-    x = fold64(data) if pair.family == "multishift" else fold61(data)
-    return sign_of_fold(pair, x)
+    return sign_of_fold(pair, fold64(data))
 
 
-# -- vector paths (multishift only; exact match with the scalar forms) -------
+# -- vector paths (exact match with the scalar forms) -------------------------
 
 def bucket_batch(pair: HashPair, folds: np.ndarray, buckets: int) -> np.ndarray:
-    if pair.family != "multishift":
-        raise ValueError("vector path supports only the multishift family")
     z = np.uint64(pair.a) * folds.astype(np.uint64) + np.uint64(pair.b)
     return (((z >> np.uint64(32)) * np.uint64(buckets)) >> np.uint64(32)).astype(np.int64)
 
 
 def sign_batch(pair: HashPair, folds: np.ndarray) -> np.ndarray:
-    if pair.family != "multishift":
-        raise ValueError("vector path supports only the multishift family")
     z = np.uint64(pair.a) * folds.astype(np.uint64) + np.uint64(pair.b)
     return (1 - 2 * (z >> np.uint64(63)).astype(np.int64))

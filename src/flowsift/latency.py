@@ -32,9 +32,6 @@ class TypeFilter:
     requests: frozenset
     responses: frozenset
 
-    def admits(self, ptype: PacketType) -> bool:
-        return ptype in self.requests or ptype in self.responses
-
     @classmethod
     def syn_handshake(cls) -> "TypeFilter":
         return cls(frozenset({PacketType.SYN}), frozenset({PacketType.SYNACK}))
@@ -84,28 +81,21 @@ class LatencyDetector:
     def epsilon(self) -> float:
         return self.table.epsilon
 
-    def _delta(self, ts: int, forward: bool) -> int:
-        if ts < self.epoch_start_ns:
-            raise ValueError(f"timestamp {ts} earlier than epoch start {self.epoch_start_ns}")
-        mag = (ts - self.epoch_start_ns) // self.time_unit_ns
-        return mag if forward else -mag
-
     def observe(self, packet) -> None:
-        if not self.type_filter.admits(packet.ptype):
-            self.skipped += 1
-            return
-        pair = canonicalize(packet.key)
-        self.table.update(pair.to_bytes(), self._delta(packet.ts, pair.forward))
+        """One packet, as a trace of one."""
+        self.observe_batch(Trace.from_records([packet]))
 
-    def observe_batch(self, trace: Trace) -> np.ndarray:
-        """Vectorized observe; returns the canonical key folds of the
-        admitted packets (in trace order) for the caller's trigger logic."""
+    def observe_batch(self, trace: Trace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Update the sketch with every admitted packet of the trace.
+
+        Returns the admitted mask over the trace, then the canonical pair
+        bytes and their folds for the admitted packets in trace order, for
+        the caller's trigger logic.
+        """
         admitted = np.isin(trace.ptype,
                            [int(t) for t in (self.type_filter.requests | self.type_filter.responses)])
         self.skipped += int(len(trace) - admitted.sum())
         sub = trace.select(admitted)
-        if len(sub) == 0:
-            return np.empty(0, dtype=np.uint64)
         ts = sub.ts.astype(np.int64)
         if ts.min(initial=np.iinfo(np.int64).max) < self.epoch_start_ns:
             bad = int((ts < self.epoch_start_ns).sum())
@@ -113,9 +103,8 @@ class LatencyDetector:
         matrix, fwd = sub.canonical_matrix()
         folds = hashing.fold64_matrix(matrix)
         mag = (ts - self.epoch_start_ns) // self.time_unit_ns
-        deltas = np.where(fwd, mag, -mag)
-        self.table.update_batch(folds, deltas)
-        return folds
+        self.table.update_batch(folds, np.where(fwd, mag, -mag))
+        return admitted, matrix, folds
 
     def estimate(self, key: "FlowKey | CanonicalPair | bytes") -> int:
         return self.table.estimate(_pair_bytes(key))

@@ -43,40 +43,35 @@ class LossDetector:
         else:
             self.rows, self.buckets = self.table.rows, self.table.buckets
         self.pair_sign_hash = hashing.derive_hash_pair(
-            self.run_seed, 0, hashing.STREAM_PAIR_SIGN, self.table.family)
+            self.run_seed, 0, hashing.STREAM_PAIR_SIGN)
         self.skipped = 0
 
     @property
     def epsilon(self) -> float:
         return self.table.epsilon
 
-    def _step(self, seq: int) -> int:
-        if seq < 1:
-            raise ValueError(f"packet id must be >= 1, got {seq}")
-        g = hashing.sign_of_fold(self.pair_sign_hash, hashing.fold64_int((seq + 1) // 2))
-        return g if seq % 2 == 1 else -g
-
     def observe(self, packet) -> None:
-        if packet.ptype != PacketType.DATA:
-            self.skipped += 1
-            return
-        self.table.update(packet.key.to_bytes(), self._step(packet.seq))
+        """One packet, as a trace of one."""
+        self.observe_batch(Trace.from_records([packet]))
 
-    def observe_batch(self, trace: Trace) -> np.ndarray:
-        """Vectorized observe over the DATA records; returns their key folds."""
-        data = trace.select(trace.ptype == int(PacketType.DATA))
+    def observe_batch(self, trace: Trace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Update the sketch with every DATA record of the trace.
+
+        Returns the DATA mask over the trace, then the key bytes and their
+        folds for the DATA records in trace order.
+        """
+        admitted = trace.ptype == int(PacketType.DATA)
+        data = trace.select(admitted)
         self.skipped += len(trace) - len(data)
-        if len(data) == 0:
-            return np.empty(0, dtype=np.uint64)
         seq = data.seq.astype(np.int64)
         if seq.min(initial=1) < 1:
             raise ValueError("packet ids must be >= 1")
         pair_folds = hashing.fold64_ints(((seq + 1) // 2).astype(np.uint64))
         g = hashing.sign_batch(self.pair_sign_hash, pair_folds)
-        deltas = np.where(seq % 2 == 1, g, -g)
-        folds = hashing.fold64_matrix(data.key_matrix())
-        self.table.update_batch(folds, deltas)
-        return folds
+        keys = data.key_matrix()
+        folds = hashing.fold64_matrix(keys)
+        self.table.update_batch(folds, np.where(seq % 2 == 1, g, -g))
+        return admitted, keys, folds
 
     def estimate(self, key: "FlowKey | bytes") -> int:
         return self.table.estimate(_key_bytes(key))

@@ -29,7 +29,7 @@ from itertools import repeat
 from . import hashing
 from .packets import KEY_BYTES, PacketType
 from .reports import HeavyReport
-from .traceio import Trace
+from .traceio import Trace, check_time_order
 
 # Accounting per entry/slot, in bytes: key plus the stated payload.
 CACHE_ENTRY_BYTES = 13 + 8 + 8   # key, max_seq, last_ts
@@ -92,10 +92,8 @@ class RecencyCache:
         if len(data) == 0:
             return []
         stamps = data.ts
-        last = self._expiry[-1][0] if self._expiry else 0
-        if stamps[0] < last or (stamps[1:] < stamps[:-1]).any():
-            raise ValueError("DATA timestamps go backwards; out-of-order detection "
-                             "needs a time-sorted trace")
+        check_time_order(stamps, self._expiry[-1][0] if self._expiry else 0,
+                         "out-of-order detection")
         keys = data.key_matrix()
         if self.exact:
             first = second = repeat(None)

@@ -20,9 +20,9 @@ import numpy as np
 
 from . import hashing
 from .countsketch import CountSketchTable
-from .packets import PacketType
+from .packets import KEY_BYTES, PacketType
 from .reports import HeavyReport
-from .traceio import Trace
+from .traceio import Trace, check_time_order
 
 
 def _bit_length(values: np.ndarray) -> np.ndarray:
@@ -59,23 +59,9 @@ class DistinctEstimator:
         else:
             self.alpha = {16: 0.673, 32: 0.697, 64: 0.709}[registers]
 
-    def _mix(self, value: int) -> int:
+    def add_batch(self, values: np.ndarray) -> None:
         # avalanche finalizer: plain a*x+b leaves arithmetic structure in
         # sequential ids, which wrecks the leading-zero statistics
-        z = (value * self._hash.a + self._hash.b) & hashing.MASK64
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & hashing.MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & hashing.MASK64
-        return z ^ (z >> 31)
-
-    def add(self, value: int) -> None:
-        h = self._mix(value)
-        idx = h >> (64 - self.p)
-        rest = h & ((1 << (64 - self.p)) - 1)
-        rank = (64 - self.p) - rest.bit_length() + 1
-        if rank > self.registers[idx]:
-            self.registers[idx] = rank
-
-    def add_batch(self, values: np.ndarray) -> None:
         z = values.astype(np.uint64) * np.uint64(self._hash.a) + np.uint64(self._hash.b)
         z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
         z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
@@ -122,11 +108,6 @@ class TrackedFlow:
             for i in range(instances)
         ]
 
-    def add(self, seq: int) -> None:
-        self.n += 1
-        for est in self.estimators:
-            est.add(seq)
-
     def add_batch(self, seqs: np.ndarray) -> None:
         self.n += len(seqs)
         self._pending.append(seqs)
@@ -160,61 +141,59 @@ class RetransmitDetector:
     instances: int = 3
     capacity_slack: int = 64
 
-    SWEEP_EVERY = 4096   # packets between stopped-reporting sweeps
-
     def __post_init__(self) -> None:
         self.sketch = CountSketchTable(self.rows, self.buckets, run_seed=self.run_seed)
         self.tracked: dict[bytes, TrackedFlow] = {}
         self.total = 0
         self.capacity = int(2.0 / self.epsilon) + self.capacity_slack
         self.skipped = 0
+        self._last_ts = 0     # latest DATA timestamp seen
+
+    def _tracked_estimates(self) -> list[tuple[int, bytes]]:
+        """(sketch estimate, key) of every tracked flow, in one batch."""
+        folds = np.fromiter((flow.fold for flow in self.tracked.values()),
+                            dtype=np.uint64, count=len(self.tracked))
+        return list(zip(self.sketch.estimate_batch(folds).tolist(), self.tracked))
 
     def _admit(self, key: bytes, estimate: int, ts: int) -> None:
         if estimate < self.epsilon / 2.0 * self.total or key in self.tracked:
             return
         if len(self.tracked) >= self.capacity:
-            weakest = min(self.tracked, key=lambda k: (self.sketch.estimate(k), k))
-            del self.tracked[weakest]
+            del self.tracked[min(self._tracked_estimates())[1]]
         self.tracked[key] = TrackedFlow(key, ts, registers=self.registers,
                                         instances=self.instances, seed=self.run_seed)
-
-    def observe(self, packet) -> None:
-        if packet.ptype != PacketType.DATA:
-            self.skipped += 1
-            return
-        key = packet.key.to_bytes()
-        self.total += 1
-        self.sketch.update(key, 1)
-        est = self.sketch.estimate(key)
-        flow = self.tracked.get(key)
-        if flow is not None:
-            if est < self.epsilon / 4.0 * self.total:
-                del self.tracked[key]       # sketch stopped reporting: drop state
-            else:
-                flow.add(int(packet.seq))
-        else:
-            self._admit(key, est, int(packet.ts))
-            flow = self.tracked.get(key)
-            if flow is not None:
-                flow.add(int(packet.seq))
-        if self.total % self.SWEEP_EVERY == 0:
-            self._sweep()
 
     def _sweep(self) -> None:
         """Drop every tracked flow the sketch has stopped reporting."""
         drop_thr = self.epsilon / 4.0 * self.total
-        stale = [key for key in self.tracked
-                 if self.sketch.estimate(key) < drop_thr]
-        for key in stale:
-            del self.tracked[key]
+        for estimate, key in self._tracked_estimates():
+            if estimate < drop_thr:
+                del self.tracked[key]
+
+    def observe(self, packet) -> None:
+        """One packet, as a trace of one."""
+        self.observe_trace(Trace.from_records([packet]), chunk=1)
 
     def observe_trace(self, trace: Trace, chunk: int = 4096) -> None:
-        """Chunked streaming: sketch updates are exact; tracking admission
-        and discontinuation are evaluated at chunk boundaries."""
+        """Chunked streaming over a time-sorted trace: sketch updates are
+        exact; tracking admission and discontinuation are evaluated at
+        chunk boundaries.
+
+        Each chunk updates the sketch, estimates its flows, sweeps the
+        tracked flows the sketch stopped reporting, admits flows at or
+        above the admission threshold, and adds the chunk's ids to the
+        tracked flows. Raises ValueError when a DATA timestamp is earlier
+        than the one before it, in this trace or an earlier one.
+        """
         data = trace.select(trace.ptype == int(PacketType.DATA))
+        check_time_order(data.ts, self._last_ts, "retransmission detection")
         self.skipped += len(trace) - len(data)
-        folds = hashing.fold64_matrix(data.key_matrix())
-        key_blob = data.key_matrix().tobytes()
+        if len(data) == 0:
+            return
+        self._last_ts = int(data.ts[-1])
+        keys = data.key_matrix()
+        folds = hashing.fold64_matrix(keys)
+        key_blob = keys.tobytes()
         seqs = data.seq.astype(np.uint64)
         stamps = data.ts
         for lo in range(0, len(data), chunk):
@@ -223,19 +202,18 @@ class RetransmitDetector:
             self.sketch.update_batch(chunk_folds, np.ones(hi - lo, dtype=np.int64))
             self.total += hi - lo
             order = np.argsort(chunk_folds, kind="stable")
-            sorted_folds = chunk_folds[order]
-            uniq, starts = np.unique(sorted_folds, return_index=True)
+            uniq, starts = np.unique(chunk_folds[order], return_index=True)
             bounds = np.append(starts, hi - lo)
             estimates = self.sketch.estimate_batch(uniq)
             admit_thr = self.epsilon / 2.0 * self.total
             chunk_seqs = seqs[lo:hi]
             self._sweep()
-            for u, est in enumerate(estimates):
+            for u, est in enumerate(estimates.tolist()):
                 i = lo + int(order[starts[u]])
-                key = key_blob[i * 13:i * 13 + 13]
+                key = key_blob[i * KEY_BYTES:(i + 1) * KEY_BYTES]
                 flow = self.tracked.get(key)
                 if flow is None and est >= admit_thr:
-                    self._admit(key, int(est), int(stamps[i]))
+                    self._admit(key, est, int(stamps[i]))
                     flow = self.tracked.get(key)
                 if flow is not None:
                     flow.add_batch(chunk_seqs[order[starts[u]:bounds[u + 1]]])

@@ -18,7 +18,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .packets import KEY_BYTES, PAIR_BYTES, RECORD_BYTES, FlowKey, PacketRecord, PacketType
+from .packets import KEY_BYTES, RECORD_BYTES, FlowKey, PacketRecord, PacketType
 
 TRACE_MAGIC = b"LMT1"
 
@@ -30,6 +30,11 @@ RECORD_DTYPE = np.dtype([
     ("ts", "<u8"), ("size", "<u4"),
 ])
 assert RECORD_DTYPE.itemsize == RECORD_BYTES
+
+# Record byte columns of a flow key read in reverse: dst, src, dport, sport, proto.
+_REVERSED_KEY = np.r_[4:8, 0:4, 10:12, 8:10, 12]
+_FORWARD_PAIR = np.r_[0:KEY_BYTES, _REVERSED_KEY]
+_BACKWARD_PAIR = np.r_[_REVERSED_KEY, 0:KEY_BYTES]
 
 
 class Trace:
@@ -116,36 +121,36 @@ class Trace:
     # -- key material for hashing -------------------------------------------
 
     def key_matrix(self) -> np.ndarray:
-        """(n, 13) uint8 matrix of directed flow-key bytes."""
-        a = self._arr
-        out = np.empty((len(a), KEY_BYTES), dtype=np.uint8)
-        _fill_key(out, a["src"], a["dst"], a["sport"], a["dport"], a["proto"], 0)
-        return out
+        """(n, 13) uint8 matrix of directed flow-key bytes: the first 13
+        bytes of each packed record."""
+        return self._record_bytes()[:, :KEY_BYTES].copy()
 
     def canonical_matrix(self) -> tuple[np.ndarray, np.ndarray]:
-        """(n, 26) uint8 canonical-pair bytes plus the forward-direction mask."""
+        """(n, 26) uint8 canonical-pair bytes plus the forward-direction mask.
+
+        A forward row is its key followed by the reversed key; any other
+        row is the reversed key followed by the key.
+        """
         a = self._arr
-        src, dst = a["src"].astype(np.uint64), a["dst"].astype(np.uint64)
-        sport, dport = a["sport"].astype(np.uint64), a["dport"].astype(np.uint64)
-        fwd = ((src << np.uint64(16)) | sport) <= ((dst << np.uint64(16)) | dport)
-        lo_a = np.where(fwd, a["src"], a["dst"])
-        hi_a = np.where(fwd, a["dst"], a["src"])
-        lo_p = np.where(fwd, a["sport"], a["dport"])
-        hi_p = np.where(fwd, a["dport"], a["sport"])
-        out = np.empty((len(a), PAIR_BYTES), dtype=np.uint8)
-        _fill_key(out, lo_a, hi_a, lo_p, hi_p, a["proto"], 0)
-        _fill_key(out, hi_a, lo_a, hi_p, lo_p, a["proto"], KEY_BYTES)
+        fwd = (a["src"] < a["dst"]) | ((a["src"] == a["dst"]) & (a["sport"] <= a["dport"]))
+        record = self._record_bytes()
+        out = np.take(record, _FORWARD_PAIR, axis=1)
+        back = np.flatnonzero(~fwd)
+        out[back] = record[back[:, None], _BACKWARD_PAIR]
         return out, fwd
 
+    def _record_bytes(self) -> np.ndarray:
+        """(n, 42) uint8 view of the packed records (a copy if strided)."""
+        a = np.ascontiguousarray(self._arr)
+        return a.view(np.uint8).reshape(len(a), RECORD_BYTES)
 
-def _fill_key(out: np.ndarray, src, dst, sport, dport, proto, col: int) -> None:
-    for b in range(4):
-        out[:, col + b] = (src >> (8 * b)) & 0xFF
-        out[:, col + 4 + b] = (dst >> (8 * b)) & 0xFF
-    for b in range(2):
-        out[:, col + 8 + b] = (sport >> (8 * b)) & 0xFF
-        out[:, col + 10 + b] = (dport >> (8 * b)) & 0xFF
-    out[:, col + 12] = proto
+
+def check_time_order(stamps: np.ndarray, last: int, needed_by: str) -> None:
+    """Raise ValueError when a timestamp is earlier than the one before it,
+    the first one included against ``last``, the latest seen before."""
+    if len(stamps) and (stamps[0] < last or (stamps[1:] < stamps[:-1]).any()):
+        raise ValueError(f"DATA timestamps go backwards; {needed_by} needs a "
+                         f"time-sorted trace")
 
 
 # -- file io ----------------------------------------------------------------

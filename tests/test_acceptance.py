@@ -15,6 +15,7 @@ from flowsift.countsketch import CountSketchTable
 from flowsift.experiments import desk_experiment
 from flowsift.framework import FrameworkSketch, PacketCountEstimator
 from flowsift.harness import run_experiment, sweep_memory
+from flowsift.hashing import fold64
 from flowsift.ooo import OooDetector
 from flowsift.oracle import oracle_ooo
 from flowsift.reporter import BloomGate, CandidateLog, ExactGate, maybe_report
@@ -102,7 +103,7 @@ def test_criterion_06_countsketch_contract():
         idx = np.minimum(rng.zipf(1.1, updates) - 1, n_flows - 1)
         truth = np.bincount(idx, minlength=n_flows)
         table = CountSketchTable(5, 2000, run_seed=seed + 1)
-        folds = np.array([table._fold(k) for k in keys], dtype=np.uint64)
+        folds = np.array([fold64(k) for k in keys], dtype=np.uint64)
         table.update_batch(folds[idx], np.ones(updates, dtype=np.int64))
         bound = table.epsilon * np.sqrt((truth.astype(float) ** 2).sum())
         within += int((np.abs(table.estimate_batch(folds) - truth) <= bound).sum())

@@ -146,3 +146,24 @@ def test_unsorted_trace_is_data_error_for_ooo(workspace, tmp_path):
     write_trace(records.select(np.random.default_rng(0).permutation(len(records))),
                 shuffled)
     assert run_cli("--trace", shuffled, "run", "--detector", "ooo") == 3
+
+
+def test_unsorted_trace_is_data_error_for_retransmit(workspace, tmp_path):
+    _, trace = workspace
+    shuffled = tmp_path / "shuffled.lmt"
+    records = load_trace(trace)
+    write_trace(records.select(np.random.default_rng(0).permutation(len(records))),
+                shuffled)
+    assert run_cli("--trace", shuffled, "run", "--detector", "retransmit") == 3
+
+
+def test_unknown_snapshot_family_is_data_error(workspace, tmp_path):
+    root, trace = workspace
+    snapshot, candidates = tmp_path / "snap.bin", tmp_path / "cand.csv"
+    assert run_cli("--trace", trace, "--out-dir", tmp_path, "run", "--detector", "loss",
+                   "--save-snapshot", snapshot, "--save-candidates", candidates) == 0
+    assert run_cli("report", "--snapshot", snapshot, "--candidates", candidates) == 0
+    data = bytearray(snapshot.read_bytes())
+    data[5] = 9
+    snapshot.write_bytes(bytes(data))
+    assert run_cli("report", "--snapshot", snapshot, "--candidates", candidates) == 3

@@ -189,6 +189,14 @@ def test_snapshot_length_is_checked_exactly():
             CountSketchTable.from_bytes(bad)
 
 
+def test_unknown_hash_family_code_is_rejected():
+    data = bytearray(CountSketchTable(2, 4, run_seed=2).to_bytes())
+    assert data[5] == 0
+    data[5] = 9
+    with pytest.raises(ValueError, match="hash-family code 9"):
+        CountSketchTable.from_bytes(bytes(data))
+
+
 def test_checked_mode_reports_row_and_bucket():
     t = CountSketchTable(2, 4, run_seed=1, checked=True)
     t.counters[:, :] = (1 << 62) - 2

@@ -99,7 +99,7 @@ def test_csv_report_columns_and_empty(tmp_path):
     write_csv([], path)
     header = path.read_text().strip().splitlines()
     assert len(header) == 1
-    assert header[0].count(",") == 7          # 8 fixed columns
+    assert header[0].count(",") == 8          # 9 fixed columns
     row = EvalResult("latency", 40_000, 0.05, 1, 0.9, 0.8, 12.5, 1e6)
     write_csv([row], path)
     lines = path.read_text().strip().splitlines()
@@ -114,6 +114,15 @@ def test_json_round_trip(tmp_path):
     assert back[0].semantic_fields() == rows[0].semantic_fields()
     payload = json.loads(path.read_text())
     assert list(payload[0].keys()) == list(EvalResult.COLUMNS)
+
+
+def test_json_round_trip_keeps_extended_memory(tmp_path):
+    rows = [EvalResult("ooo", 40_000, 0.04, 2, 1.0, 1.0, 3.0, 7e5,
+                       extended_memory_bytes=171_234)]
+    path = tmp_path / "r.json"
+    write_json(rows, path)
+    assert json.loads(path.read_text())[0]["extended_memory_bytes"] == 171_234
+    assert read_json(path) == rows
 
 
 def test_write_reports_both_formats(tmp_path):

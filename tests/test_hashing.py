@@ -8,25 +8,27 @@ from flowsift.hashing import (bucket, bucket_batch, derive_hash_pair, fold64,
 
 from conftest import random_keys
 
-FAMILIES = ("multishift", "modprime")
+# One hash family remains; the one-value parametrization keeps its name in
+# the test ids.
+FAMILIES = ("multishift",)
 
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_single_bucket_always_zero(family):
-    pair = derive_hash_pair(7, 0, hashing.STREAM_BUCKET, family)
+    pair = derive_hash_pair(7, 0, hashing.STREAM_BUCKET)
     for data in (b"", b"x", b"some-flow-key"):
         assert bucket(pair, data, 1) == 0
 
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_bucket_deterministic(family):
-    pair = derive_hash_pair(42, 3, hashing.STREAM_BUCKET, family)
+    pair = derive_hash_pair(42, 3, hashing.STREAM_BUCKET)
     assert bucket(pair, b"flow", 1024) == bucket(pair, b"flow", 1024)
 
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_sign_is_plus_or_minus_one(family):
-    pair = derive_hash_pair(1, 0, hashing.STREAM_SIGN, family)
+    pair = derive_hash_pair(1, 0, hashing.STREAM_SIGN)
     assert {sign(pair, bytes([i])) for i in range(64)} <= {-1, 1}
 
 
@@ -36,7 +38,7 @@ def test_pairwise_collision_rate(family, rng):
     B, n = 1024, 100_000
     collisions = 0
     for i in range(n):
-        pair = derive_hash_pair(i, 0, hashing.STREAM_BUCKET, family)
+        pair = derive_hash_pair(i, 0, hashing.STREAM_BUCKET)
         a = int(rng.integers(0, 1 << 62)).to_bytes(8, "little")
         b = int(rng.integers(0, 1 << 62)).to_bytes(8, "little")
         if a != b and bucket(pair, a, B) == bucket(pair, b, B):
@@ -48,7 +50,7 @@ def test_pairwise_collision_rate(family, rng):
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_sign_mean_over_seeds(family):
-    total = sum(sign(derive_hash_pair(s, 0, hashing.STREAM_SIGN, family),
+    total = sum(sign(derive_hash_pair(s, 0, hashing.STREAM_SIGN),
                      b"fixed-key") for s in range(10_000))
     assert abs(total / 10_000) <= 0.04
 
@@ -57,7 +59,7 @@ def test_sign_mean_over_seeds(family):
 def test_sign_product_uncorrelated(family):
     total = 0
     for s in range(10_000):
-        pair = derive_hash_pair(s, 0, hashing.STREAM_SIGN, family)
+        pair = derive_hash_pair(s, 0, hashing.STREAM_SIGN)
         total += sign(pair, b"key-x") * sign(pair, b"key-y")
     assert abs(total / 10_000) <= 0.04
 
@@ -65,20 +67,17 @@ def test_sign_product_uncorrelated(family):
 @pytest.mark.parametrize("family", FAMILIES)
 @pytest.mark.parametrize("B", (16, 1024))
 def test_bucket_uniformity_chi_square(family, B, rng):
-    pair = derive_hash_pair(99, 0, hashing.STREAM_BUCKET, family)
+    pair = derive_hash_pair(99, 0, hashing.STREAM_BUCKET)
     keys = random_keys(rng, 100_000)
-    if family == "multishift":
-        matrix = np.frombuffer(b"".join(keys), dtype=np.uint8).reshape(-1, 13)
-        counts = np.bincount(bucket_batch(pair, fold64_matrix(matrix), B), minlength=B)
-    else:
-        counts = np.bincount([bucket(pair, k, B) for k in keys], minlength=B)
+    matrix = np.frombuffer(b"".join(keys), dtype=np.uint8).reshape(-1, 13)
+    counts = np.bincount(bucket_batch(pair, fold64_matrix(matrix), B), minlength=B)
     assert stats.chisquare(counts).pvalue > 0.01
 
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_seed_separation_between_rows(family):
-    p0 = derive_hash_pair(5, 0, hashing.STREAM_BUCKET, family)
-    p1 = derive_hash_pair(5, 1, hashing.STREAM_BUCKET, family)
+    p0 = derive_hash_pair(5, 0, hashing.STREAM_BUCKET)
+    p1 = derive_hash_pair(5, 1, hashing.STREAM_BUCKET)
     inputs = [i.to_bytes(8, "little") for i in range(10_000)]
     disagree = sum(bucket(p0, x, 2) != bucket(p1, x, 2) for x in inputs)
     assert disagree >= 4_000
@@ -87,11 +86,6 @@ def test_seed_separation_between_rows(family):
 def test_zero_multiplier_rejected():
     with pytest.raises(ValueError):
         hashing.HashPair(0, 1)
-
-
-def test_unknown_family_rejected():
-    with pytest.raises(ValueError):
-        hashing.HashPair(1, 1, family="md5")
 
 
 def test_batch_matches_scalar(rng):

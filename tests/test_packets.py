@@ -124,3 +124,15 @@ def test_key_matrix_matches_scalar(small_trace):
     matrix = small_trace.key_matrix()
     for i in range(len(small_trace)):
         assert matrix[i].tobytes() == small_trace.record(i).key.to_bytes()
+
+
+def test_key_matrices_of_strided_trace(small_trace):
+    strided = small_trace.select(slice(None, None, 2))
+    matrix, fwd = strided.canonical_matrix()
+    keys = strided.key_matrix()
+    assert keys.flags.c_contiguous
+    for i in range(len(strided)):
+        key = strided.record(i).key
+        assert keys[i].tobytes() == key.to_bytes()
+        assert matrix[i].tobytes() == canonicalize(key).to_bytes()
+        assert bool(fwd[i]) == canonicalize(key).forward

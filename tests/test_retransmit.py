@@ -22,7 +22,7 @@ def test_estimator_monotone_under_insertions(rng):
     est = DistinctEstimator(256, seed=2)
     prev = 0.0
     for v in rng.integers(0, 5000, 3000):
-        est.add(int(v))
+        est.add_batch(np.array([v], dtype=np.uint64))
         now = est.estimate()
         assert now >= prev
         prev = now
@@ -159,3 +159,19 @@ def test_batch_matches_scalar_semantics():
     assert set(d1.tracked) == set(d2.tracked)
     for key in d1.tracked:
         assert abs(d1.tracked[key].ratio() - d2.tracked[key].ratio()) < 0.25
+
+
+def test_timestamps_going_back_are_rejected():
+    rng = np.random.default_rng(5)
+    records = [data_packet(make_key(i % 20), i // 20 + 1, i * 1000)
+               for i in range(400)]
+    trace = Trace.from_records(records)
+    det = RetransmitDetector(buckets=512, rows=5, epsilon=0.1)
+    with pytest.raises(ValueError, match="time-sorted"):
+        det.observe_trace(trace.select(rng.permutation(len(trace))))
+    assert det.total == 0
+    det.observe_trace(trace.select(np.arange(200, 400)))
+    with pytest.raises(ValueError, match="time-sorted"):
+        det.observe_trace(trace.select(np.arange(200)))
+    with pytest.raises(ValueError, match="time-sorted"):
+        det.observe(records[0])
