@@ -8,9 +8,7 @@ evaluation, and a CLI harness for reproducible recall/precision sweeps.
 """
 
 from .countsketch import CountSketchTable
-from .framework import (ByteCountEstimator, FrameworkSketch,
-                        PacketCountEstimator, SingleFlowEstimator,
-                        TimestampSumEstimator, flow_id32)
+from .framework import FrameworkSketch, flow_id32, timestamp_weights
 from .hashing import HashPair, derive_hash_pair
 from .latency import LatencyDetector, TypeFilter
 from .loss import LossDetector, loss_count_estimate
@@ -26,13 +24,12 @@ from .traceio import Trace, load_trace, read_trace, write_trace
 __version__ = "0.1.0"
 
 __all__ = [
-    "BloomGate", "ByteCountEstimator", "CandidateLog", "CanonicalPair",
-    "CountSketchTable", "DistinctEstimator", "Epoch", "ExactGate", "FlowKey",
-    "FrameworkSketch", "HashPair", "HeavyReport", "LatencyDetector",
-    "LossDetector", "OooDetector", "PacketCountEstimator", "PacketRecord",
-    "PacketType", "RecencyCache", "RetransmitDetector", "SingleFlowEstimator",
-    "SynthConfig", "TimestampSumEstimator", "TopTable", "Trace", "TypeFilter",
+    "BloomGate", "CandidateLog", "CanonicalPair", "CountSketchTable",
+    "DistinctEstimator", "Epoch", "ExactGate", "FlowKey", "FrameworkSketch",
+    "HashPair", "HeavyReport", "LatencyDetector", "LossDetector",
+    "OooDetector", "PacketRecord", "PacketType", "RecencyCache",
+    "RetransmitDetector", "SynthConfig", "TopTable", "Trace", "TypeFilter",
     "canonicalize", "controller_topk", "derive_hash_pair", "flow_id32",
     "key_bytes", "load_trace", "loss_count_estimate", "maybe_report",
-    "read_trace", "synthesize", "write_trace",
+    "read_trace", "synthesize", "timestamp_weights", "write_trace",
 ]

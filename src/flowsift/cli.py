@@ -10,7 +10,10 @@ import json
 import sys
 from pathlib import Path
 
-from .framework import FrameworkSketch, PacketCountEstimator, flow_id32
+import numpy as np
+
+from . import hashing
+from .framework import FrameworkSketch, flow_id32_batch
 from .harness import (ConfigError, DataError, DetectorConfig, DETECTORS,
                       DEFAULT_BUDGETS_KB, median_recall, read_json,
                       run_experiment, sweep_memory, write_reports)
@@ -197,15 +200,13 @@ def _cmd_run(args) -> int:
 
 
 def _run_framework(args, trace: Trace) -> int:
-    sketch = FrameworkSketch(args.framework_buckets, 32, PacketCountEstimator,
-                             run_seed=args.seed)
-    id_to_key: dict[int, str] = {}
-    for packet in trace.records():
-        if packet.ptype != PacketType.DATA:
-            continue
-        fid = flow_id32(packet.key.to_bytes(), args.seed)
-        id_to_key.setdefault(fid, packet.key.to_bytes().hex())
-        sketch.update(fid, packet)
+    keys = trace.select(trace.ptype == PacketType.DATA).key_matrix()
+    ids = flow_id32_batch(hashing.fold64_matrix(keys), args.seed)
+    sketch = FrameworkSketch(args.framework_buckets, 32, run_seed=args.seed)
+    sketch.update(ids, np.ones(len(ids), dtype=np.int64))
+    unique, first = np.unique(ids, return_index=True)
+    id_to_key = {fid: keys[row].tobytes().hex()
+                 for fid, row in zip(unique.tolist(), first.tolist())}
     rows = [{"flow_id": rec.flow_id, "margin": rec.margin,
              "key": id_to_key.get(rec.flow_id)}
             for rec in sketch.recover_detailed()]

@@ -1,81 +1,33 @@
 """Generic heavy-flow identity recovery for flow-additive statistics.
 
-Flows hash into M buckets; each bucket holds 2L single-flow estimator
-instances, one pair per bit of the L-bit flow id. A packet is absorbed
-by the estimator matching each bit's value, so a flow that dominates
-its bucket can be read back bit by bit: bit k is 0 exactly when the
-"bit k = 0" estimator outvalues its partner. Recovery is exact whenever
-the dominant flow's statistic exceeds the sum of everything else that
-shares its bucket; when it does not, the recovered id is garbage, so
-each candidate carries its dominance margin and callers decide what to
-trust.
+Flows hash into M buckets; each bucket holds 2L sums, one pair per bit
+of the L-bit flow id. A packet adds its weight to the sum matching each
+bit's value, so a flow that dominates its bucket can be read back bit
+by bit: bit k is 0 exactly when the "bit k = 0" sum outweighs its
+partner. Recovery is exact whenever the dominant flow's statistic
+exceeds the sum of everything else that shares its bucket; when it does
+not, the recovered id is garbage, so each candidate carries its
+dominance margin and callers decide what to trust.
 
-Bit k means the k-th least significant bit. A value tie resolves to
-bit 1; ties cannot occur while the dominance inequality is strict.
+Every statistic served is linear in a per-packet weight, which the
+caller supplies as an array: ones for packet counts, the sizes for
+bytes, ``timestamp_weights`` for the signed timestamp sum.
+
+Bit k means the k-th least significant bit. A tie resolves to bit 1;
+ties cannot occur while the dominance inequality is strict.
 """
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple, Protocol
+from typing import NamedTuple
+
+import numpy as np
 
 from . import hashing
-from .packets import PacketRecord, PacketType
+from .packets import PacketType
+from .traceio import Trace
 
-
-class SingleFlowEstimator(Protocol):
-    """Behavioral contract: absorb packets, report one real number.
-
-    The statistic must be flow-additive: the value over a merged stream
-    equals the sum of the values over its parts.
-    """
-
-    def absorb(self, packet: PacketRecord) -> None: ...
-    def value(self) -> float: ...
-
-
-class PacketCountEstimator:
-    def __init__(self) -> None:
-        self.count = 0
-
-    def absorb(self, packet: PacketRecord) -> None:
-        self.count += 1
-
-    def value(self) -> float:
-        return float(self.count)
-
-
-class ByteCountEstimator:
-    def __init__(self) -> None:
-        self.total = 0
-
-    def absorb(self, packet: PacketRecord) -> None:
-        self.total += packet.size
-
-    def value(self) -> float:
-        return float(self.total)
-
-
-class TimestampSumEstimator:
-    """Signed timestamp accumulator: responses add, requests subtract.
-
-    Restricted to one sub-bucket this is the latency detector's trick;
-    over a flow's matched request/response pairs the value telescopes to
-    the flow's total round-trip time.
-    """
-
-    _RESPONSES = (PacketType.ACK, PacketType.SYNACK)
-
-    def __init__(self, epoch_start_ns: int = 0, time_unit_ns: int = 1000):
-        self.epoch_start_ns = epoch_start_ns
-        self.time_unit_ns = time_unit_ns
-        self.acc = 0
-
-    def absorb(self, packet: PacketRecord) -> None:
-        t = (packet.ts - self.epoch_start_ns) // self.time_unit_ns
-        self.acc += t if packet.ptype in self._RESPONSES else -t
-
-    def value(self) -> float:
-        return float(self.acc)
+_RESPONSES = [int(PacketType.ACK), int(PacketType.SYNACK)]
 
 
 class RecoveredFlow(NamedTuple):
@@ -85,65 +37,73 @@ class RecoveredFlow(NamedTuple):
 
 
 class FrameworkSketch:
-    """M buckets x 2L sub-bucket estimators with bitwise id recovery."""
+    """An (M, 2L) int64 array of per-bit sums with bitwise id recovery.
 
-    def __init__(self, buckets: int, id_bits: int,
-                 estimator_factory: Callable[[], SingleFlowEstimator],
-                 *, run_seed: int = 0):
+    Column 2k + v of bucket b sums the weights of the packets in b whose
+    id has bit k equal to v.
+    """
+
+    def __init__(self, buckets: int, id_bits: int, *, run_seed: int = 0):
         if buckets < 1 or id_bits < 1:
             raise ValueError("need at least one bucket and one id bit")
         self.buckets = buckets
         self.id_bits = id_bits
-        self.sub = [[estimator_factory() for _ in range(2 * id_bits)]
-                    for _ in range(buckets)]
-        self.bucket_updates = [0] * buckets
+        self.counts = np.zeros((buckets, 2 * id_bits), dtype=np.int64)
+        self.bucket_updates = np.zeros(buckets, dtype=np.int64)
         self.bucket_hash = hashing.derive_hash_pair(run_seed, 0, hashing.STREAM_FRAMEWORK)
 
-    def _bucket_of(self, flow_id: int) -> int:
-        x = hashing.fold64_int(flow_id)
-        return hashing.bucket_of_fold(self.bucket_hash, x, self.buckets)
-
-    def update(self, flow_id: int, packet: PacketRecord) -> None:
-        if flow_id >> self.id_bits:
-            raise ValueError(f"flow id {flow_id} does not fit in {self.id_bits} bits")
-        b = self._bucket_of(flow_id)
-        row = self.sub[b]
+    def update(self, flow_ids: np.ndarray, weights: np.ndarray) -> None:
+        """Add weights[i] under flow_ids[i], for every i."""
+        ids = np.asarray(flow_ids)
+        weights = np.asarray(weights, dtype=np.int64)
+        if ids.shape != weights.shape or ids.ndim != 1:
+            raise ValueError("flow ids and weights must be equal-length 1-d arrays")
+        if len(ids) and (int(ids.min()) < 0 or int(ids.max()) >> self.id_bits):
+            raise ValueError(f"flow ids must fit in {self.id_bits} bits")
+        ids = ids.astype(np.uint64)
+        rows = hashing.bucket_batch(self.bucket_hash, hashing.fold64_ints(ids), self.buckets)
+        np.add.at(self.bucket_updates, rows, 1)
         for k in range(self.id_bits):
-            bit = (flow_id >> k) & 1
-            row[2 * k + bit].absorb(packet)
-        self.bucket_updates[b] += 1
+            bit = ((ids >> np.uint64(k)) & np.uint64(1)).astype(np.int64)
+            np.add.at(self.counts, (rows, 2 * k + bit), weights)
 
     def recover_detailed(self) -> list[RecoveredFlow]:
         """One candidate per touched bucket, with its dominance margin."""
-        found = []
-        for b in range(self.buckets):
-            if self.bucket_updates[b] == 0:
-                continue
-            row = self.sub[b]
-            flow_id = 0
-            margin = float("inf")
-            for k in range(self.id_bits):
-                v0 = row[2 * k].value()
-                v1 = row[2 * k + 1].value()
-                if v1 >= v0:
-                    flow_id |= 1 << k
-                margin = min(margin, abs(v0 - v1))
-            found.append(RecoveredFlow(flow_id, margin, b))
-        return found
+        touched = np.flatnonzero(self.bucket_updates)
+        zeros, ones = self.counts[touched, 0::2], self.counts[touched, 1::2]
+        bits = (ones >= zeros).astype(np.uint64)
+        ids = (bits << np.arange(self.id_bits, dtype=np.uint64)).sum(axis=1, dtype=np.uint64)
+        margins = np.abs(zeros - ones).min(axis=1)
+        return [RecoveredFlow(flow_id, float(margin), bucket) for flow_id, margin, bucket
+                in zip(ids.tolist(), margins.tolist(), touched.tolist())]
 
     def recover(self) -> list[int]:
         return [r.flow_id for r in self.recover_detailed()]
 
-    def subbucket_value(self, bucket: int, position: int) -> float:
-        """Value of a sub-bucket by its 1-indexed position (2k-1, 2k)."""
-        return self.sub[bucket][position - 1].value()
+
+def timestamp_weights(trace: Trace, epoch_start_ns: int = 0,
+                      time_unit_ns: int = 1000) -> np.ndarray:
+    """Signed epoch-relative timestamps: responses (ACK, SYNACK) add,
+    everything else subtracts.
+
+    Within one bucket pair this is the latency detector's trick: over a
+    flow's matched request/response pairs the sum telescopes to the
+    flow's total round-trip time.
+    """
+    t = (trace.ts.astype(np.int64) - epoch_start_ns) // time_unit_ns
+    return np.where(np.isin(trace.ptype, _RESPONSES), t, -t)
 
 
-def flow_id32(key: bytes, run_seed: int = 0) -> int:
-    """Map arbitrary key bytes into the framework's 32-bit id universe.
+def flow_id32_batch(folds: np.ndarray, run_seed: int = 0) -> np.ndarray:
+    """Map prefolded keys into the framework's 32-bit id universe.
 
     Collisions are accepted and measured, not prevented.
     """
     pair = hashing.derive_hash_pair(run_seed, 0, hashing.STREAM_FLOW_ID)
-    z = (pair.a * hashing.fold64(key) + pair.b) & hashing.MASK64
-    return z >> 32
+    z = np.uint64(pair.a) * folds.astype(np.uint64) + np.uint64(pair.b)
+    return z >> np.uint64(32)
+
+
+def flow_id32(key: bytes, run_seed: int = 0) -> int:
+    """``flow_id32_batch`` for one key's bytes."""
+    return int(flow_id32_batch(np.array([hashing.fold64(key)], dtype=np.uint64), run_seed)[0])

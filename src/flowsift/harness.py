@@ -182,14 +182,19 @@ def compute_relevant(trace: Trace, cfg: DetectorConfig, k: int) -> list[bytes]:
     return relevant_topk(defects, k)
 
 
+def check_manifest(trace: Trace, manifest: dict) -> None:
+    """Raise DataError when the manifest pins another trace's hash."""
+    if manifest.get("trace_sha256") and manifest["trace_sha256"] != trace.sha256():
+        raise DataError("manifest hash does not match the trace")
+
+
 def run_experiment(trace: Trace, manifest: dict, cfg: DetectorConfig,
                    k: "int | None" = None,
                    relevant: "list[bytes] | None" = None) -> RunArtifacts:
     """Stream one trace through one detector and score it against the oracle."""
     cfg.validate()
     k = cfg.k if k is None else k
-    if manifest.get("trace_sha256") and manifest["trace_sha256"] != trace.sha256():
-        raise DataError("manifest hash does not match the trace")
+    check_manifest(trace, manifest)
     if relevant is None:
         relevant = compute_relevant(trace, cfg, k)
 
@@ -250,6 +255,8 @@ def run_experiment(trace: Trace, manifest: dict, cfg: DetectorConfig,
 def sweep_memory(trace: Trace, manifest: dict, cfg: DetectorConfig,
                  budgets_kb=DEFAULT_BUDGETS_KB, seeds: int = 10) -> list[EvalResult]:
     """One row per (budget, seed) over a fixed trace; decimal kilobytes."""
+    check_manifest(trace, manifest)
+    manifest = {key: v for key, v in manifest.items() if key != "trace_sha256"}
     relevant = compute_relevant(trace, cfg, cfg.k)
     results = []
     for budget_kb in budgets_kb:

@@ -42,10 +42,14 @@ class BloomGate:
     def __contains__(self, key: bytes) -> bool:
         return all(self.array[pos] for pos in self._positions(key))
 
-    def insert(self, key: bytes) -> None:
-        for pos in self._positions(key):
-            self.array[pos] = True
+    def insert(self, key: bytes) -> bool:
+        """Set the key's bits; True, and counted, only if one was unset."""
+        positions = self._positions(key)
+        if self.array[positions].all():
+            return False
+        self.array[positions] = True
         self.inserted += 1
+        return True
 
     def memory_bytes(self) -> int:
         return self.bits // 8
@@ -61,9 +65,13 @@ class ExactGate:
     def __contains__(self, key: bytes) -> bool:
         return key in self._seen
 
-    def insert(self, key: bytes) -> None:
+    def insert(self, key: bytes) -> bool:
+        """Add the key; True, and counted, only if it was new."""
+        if key in self._seen:
+            return False
         self._seen.add(key)
         self.inserted += 1
+        return True
 
 
 @dataclass
@@ -106,8 +114,7 @@ def maybe_report(gate, log: CandidateLog, key: bytes, estimate: float,
     """Mirror the key once when its estimate crosses the threshold."""
     if threshold < 0:
         raise ValueError("threshold must be >= 0")
-    if estimate >= threshold and key not in gate:
-        gate.insert(key)
+    if estimate >= threshold and gate.insert(key):
         log.entries.append((key, ts, float(estimate)))
         return True
     return False

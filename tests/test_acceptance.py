@@ -13,9 +13,9 @@ from statistics import median
 import numpy as np
 from flowsift.countsketch import CountSketchTable
 from flowsift.experiments import desk_experiment
-from flowsift.framework import FrameworkSketch, PacketCountEstimator
+from flowsift.framework import FrameworkSketch
 from flowsift.harness import run_experiment, sweep_memory
-from flowsift.hashing import fold64
+from flowsift.hashing import bucket_of_fold, fold64, fold64_int
 from flowsift.ooo import OooDetector
 from flowsift.oracle import oracle_ooo
 from flowsift.reporter import BloomGate, CandidateLog, ExactGate, maybe_report
@@ -160,21 +160,17 @@ def test_criterion_08_framework_recovery():
     exact_violations = 0
     for seed in range(50):
         rng = np.random.default_rng(seed)
-        sketch = FrameworkSketch(64, 16, PacketCountEstimator, run_seed=seed)
+        sketch = FrameworkSketch(64, 16, run_seed=seed)
         planted = int(rng.integers(0, 1 << 16))
-        counts = {}
-        for fid in rng.integers(0, 1 << 16, 500):
-            sketch.update(int(fid), data_packet(make_key(1), 1, 0))
-            counts[int(fid)] = counts.get(int(fid), 0) + 1
-        for _ in range(5000):
-            sketch.update(planted, data_packet(make_key(1), 1, 0))
-        counts[planted] = counts.get(planted, 0) + 5000
+        ids = np.concatenate([rng.integers(0, 1 << 16, 500), np.full(5000, planted)])
+        sketch.update(ids, np.ones(len(ids), dtype=np.int64))
         recovered = {r.bucket: r.flow_id for r in sketch.recover_detailed()}
         if planted in recovered.values():
             hits += 1
         by_bucket: dict[int, dict[int, int]] = {}
-        for fid, c in counts.items():
-            by_bucket.setdefault(sketch._bucket_of(fid), {})[fid] = c
+        for fid, c in zip(*np.unique(ids, return_counts=True)):
+            bucket = bucket_of_fold(sketch.bucket_hash, fold64_int(int(fid)), sketch.buckets)
+            by_bucket.setdefault(bucket, {})[int(fid)] = int(c)
         for bucket, flows in by_bucket.items():
             top_id, top = max(flows.items(), key=lambda kv: kv[1])
             if top > sum(flows.values()) - top and recovered.get(bucket) != top_id:

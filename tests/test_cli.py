@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from flowsift.cli import main
+from flowsift.framework import flow_id32
 from flowsift.traceio import load_trace, write_trace
 
 
@@ -72,6 +73,20 @@ def test_framework_count_run(workspace):
                    "--framework-buckets", 32) == 0
     rows = json.loads((root / "framework_recovered.json").read_text())
     assert rows and all("flow_id" in r and "margin" in r for r in rows)
+
+
+def test_framework_count_keys_map_to_ids(workspace):
+    root, trace = workspace
+    out = root / "fw-keys"
+    assert run_cli("--seed", 5, "--trace", trace, "--out-dir", out, "run",
+                   "--detector", "framework-count", "--framework-buckets", 16) == 0
+    rows = json.loads((out / "framework_recovered.json").read_text())
+    keyed = [r for r in rows if r["key"] is not None]
+    assert keyed
+    for r in keyed:
+        assert flow_id32(bytes.fromhex(r["key"]), 5) == r["flow_id"]
+    margins = [r["margin"] for r in rows]
+    assert margins == sorted(margins, reverse=True)
 
 
 def test_od_pair_mode_runs(workspace):

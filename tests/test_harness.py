@@ -9,6 +9,7 @@ from flowsift.harness import (ConfigError, DataError, DetectorConfig,
                               write_reports, _score)
 from flowsift.inject import InjectionPlan, inject_latency, inject_loss
 from flowsift.synth import SynthConfig, synthesize
+from flowsift.traceio import Trace
 
 
 @pytest.fixture(scope="module")
@@ -71,6 +72,24 @@ def test_sweep_shape_and_median(latency_setup):
     med = median_recall(results)
     assert set(med) == {40_000, 80_000}
     assert all(0 <= v <= 1 for v in med.values())
+
+
+def test_sweep_rejects_wrong_manifest(latency_setup):
+    trace, manifest = latency_setup
+    bad = dict(manifest, trace_sha256="0" * 64)
+    with pytest.raises(DataError):
+        sweep_memory(trace, bad, DetectorConfig("latency", k=10), budgets_kb=(40,), seeds=1)
+
+
+def test_sweep_hashes_the_trace_once(latency_setup, monkeypatch):
+    trace, manifest = latency_setup
+    calls = []
+    sha256 = Trace.sha256
+    monkeypatch.setattr(Trace, "sha256", lambda self: calls.append(1) or sha256(self))
+    results = sweep_memory(trace, manifest, DetectorConfig("latency", k=10),
+                           budgets_kb=(40, 80), seeds=2)
+    assert len(results) == 4
+    assert len(calls) == 1
 
 
 def test_determinism_of_semantic_fields(latency_setup):

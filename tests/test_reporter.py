@@ -20,6 +20,16 @@ def test_first_crossing_reported_then_deduplicated():
     assert log.entries == [(b"key", 7, 20.0)]
 
 
+@pytest.mark.parametrize("make_gate", [lambda: BloomGate(run_seed=8), ExactGate],
+                         ids=["bloom", "exact"])
+def test_gate_insert_says_whether_key_was_new(make_gate):
+    gate = make_gate()
+    assert gate.insert(b"key") is True
+    assert gate.insert(b"key") is False
+    assert b"key" in gate
+    assert gate.inserted == 1
+
+
 def test_negative_threshold_rejected():
     with pytest.raises(ValueError):
         maybe_report(BloomGate(), CandidateLog(), b"k", 1.0, -0.1)
