@@ -123,7 +123,8 @@ def _cfg_from_args(args, budget_kb: int) -> DetectorConfig:
         type_filter=args.type_filter, time_unit_ns=args.time_unit,
         window_ns=int(args.window_ms * 1e6), weight_mode=args.weight,
         ooo_slots=ooo_slots, cache_capacity=args.cache_capacity,
-        epsilon=args.epsilon or 0.001, k_threshold=args.k_threshold,
+        epsilon=0.001 if args.epsilon is None else args.epsilon,
+        k_threshold=args.k_threshold,
     )
 
 

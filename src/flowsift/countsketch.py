@@ -8,6 +8,9 @@ sign-corrected counters. Merging two tables built with identical seeds
 is counter-wise addition and exactly equals processing the concatenated
 stream.
 
+Every operation runs over a batch of prefolded keys; the per-key
+``update``, ``estimate`` and ``estimate_abs`` are batches of one.
+
 Counters are 64-bit even though the hardware analog used 32-bit ones:
 timestamp sums overflow 32 bits immediately. Memory budgets elsewhere
 do their arithmetic in emulated 32-bit counter units.
@@ -73,24 +76,21 @@ class CountSketchTable:
         """The error parameter implied by B = 9 / eps^2."""
         return float(np.sqrt(9.0 / self.buckets))
 
+    def _cells(self, folds: np.ndarray):
+        """Per row, the bucket and the sign of each prefolded key."""
+        for rh, sh in zip(self.row_hashes, self.sign_hashes):
+            yield hashing.bucket_batch(rh, folds, self.buckets), hashing.sign_batch(sh, folds)
+
     # -- updates -------------------------------------------------------------
 
     def update(self, key: bytes, delta: int) -> None:
-        x = hashing.fold64(key)
-        for j in range(self.rows):
-            b = hashing.bucket_of_fold(self.row_hashes[j], x, self.buckets)
-            s = hashing.sign_of_fold(self.sign_hashes[j], x)
-            self.counters[j, b] += s * delta
-            if self.checked and abs(int(self.counters[j, b])) >= _OVERFLOW_LIMIT:
-                raise OverflowError(f"counter overflow at row {j} bucket {b}")
-        self.total_l1 += abs(delta)
+        """One update: a batch of one."""
+        self.update_batch(hashing.fold64_keys([key]), np.array([delta], dtype=np.int64))
 
     def update_batch(self, folds: np.ndarray, deltas: np.ndarray) -> None:
         """Apply many updates at once; folds are prefolded 64-bit keys."""
         deltas = np.asarray(deltas, dtype=np.int64)
-        for j in range(self.rows):
-            idx = hashing.bucket_batch(self.row_hashes[j], folds, self.buckets)
-            signs = hashing.sign_batch(self.sign_hashes[j], folds)
+        for j, (idx, signs) in enumerate(self._cells(folds)):
             np.add.at(self.counters[j], idx, signs * deltas)
         if self.checked and np.abs(self.counters).max(initial=0) >= _OVERFLOW_LIMIT:
             j, b = np.unravel_index(int(np.abs(self.counters).argmax()), self.counters.shape)
@@ -99,33 +99,18 @@ class CountSketchTable:
 
     # -- estimates -----------------------------------------------------------
 
-    def _row_estimates(self, key: bytes) -> np.ndarray:
-        x = hashing.fold64(key)
-        vals = np.empty(self.rows, dtype=np.int64)
-        for j in range(self.rows):
-            b = hashing.bucket_of_fold(self.row_hashes[j], x, self.buckets)
-            s = hashing.sign_of_fold(self.sign_hashes[j], x)
-            vals[j] = s * self.counters[j, b]
-        return vals
-
     def estimate(self, key: bytes) -> int:
         """Median over rows of the sign-corrected counters (lower-middle
         of the two central values when the row count is even)."""
-        vals = np.sort(self._row_estimates(key))
-        return int(vals[(self.rows - 1) // 2])
+        return int(self.estimate_batch(hashing.fold64_keys([key]))[0])
 
     def estimate_abs(self, key: bytes) -> int:
         """Median over rows of the counter magnitudes."""
-        vals = np.sort(np.abs(self._row_estimates(key)))
-        return int(vals[(self.rows - 1) // 2])
+        return int(self.estimate_abs_batch(hashing.fold64_keys([key]))[0])
 
     def _row_estimates_batch(self, folds: np.ndarray) -> np.ndarray:
-        out = np.empty((self.rows, len(folds)), dtype=np.int64)
-        for j in range(self.rows):
-            idx = hashing.bucket_batch(self.row_hashes[j], folds, self.buckets)
-            signs = hashing.sign_batch(self.sign_hashes[j], folds)
-            out[j] = signs * self.counters[j, idx]
-        return out
+        return np.array([signs * self.counters[j, idx]
+                         for j, (idx, signs) in enumerate(self._cells(folds))])
 
     def estimate_batch(self, folds: np.ndarray) -> np.ndarray:
         vals = np.sort(self._row_estimates_batch(folds), axis=0)
@@ -140,7 +125,8 @@ class CountSketchTable:
     def heavy_keys(self, candidates, threshold: float) -> list[tuple[bytes, int]]:
         """Candidates whose magnitude estimate reaches the threshold,
         sorted descending; ties broken by key bytes ascending."""
-        scored = [(key, self.estimate_abs(key)) for key in candidates]
+        keys = list(candidates)
+        scored = zip(keys, self.estimate_abs_batch(hashing.fold64_keys(keys)).tolist())
         kept = [(k, e) for k, e in scored if e >= threshold]
         kept.sort(key=lambda item: (-item[1], item[0]))
         return kept

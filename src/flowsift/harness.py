@@ -10,7 +10,8 @@ state, and both figures land in the result rows.
 Streaming runs in chunks: sketch updates are exact, and the mirroring
 gate is evaluated once per chunk for the flows that carried a
 triggering packet in it. Each detector's batch call returns the keys
-and folds the gate needs, so the harness derives none itself.
+and folds the gate needs, so the harness derives none itself. The Bloom
+gate is the only dedup, fed each chunk's crossing folds in one call.
 """
 
 from __future__ import annotations
@@ -29,13 +30,14 @@ from .loss import LossDetector
 from .ooo import CACHE_ENTRY_BYTES, OooDetector, TOP_SLOT_BYTES
 from .oracle import oracle_loss, oracle_ooo, oracle_rtt, oracle_rtx, relevant_topk
 from .packets import PacketType
-from .reporter import BloomGate, CandidateLog, maybe_report
+from .reporter import BloomGate, CandidateLog
 from .retransmit import RetransmitDetector
 from .traceio import Trace
 
 DETECTORS = ("latency", "loss", "ooo", "retransmit")
 DEFAULT_BUDGETS_KB = (40, 80, 160, 320)
 CHUNK = 8192
+GATE_BITS = 1 << 20     # the mirroring gate's Bloom bits
 
 
 class ConfigError(ValueError):
@@ -73,11 +75,9 @@ class DetectorConfig:
     seed: int = 0
     k: int = 100
     report_epsilon: float = 0.0      # trigger threshold = eps * running total
-    gate_bits: int = 1 << 20
     # latency
     type_filter: str = "syn"
     time_unit_ns: int = 1000
-    epoch_start_ns: int = 0
     # ooo
     window_ns: int = 3_000_000
     weight_mode: str = "bytes"
@@ -87,13 +87,18 @@ class DetectorConfig:
     epsilon: float = 0.001
     k_threshold: float = 1.05
     registers: int = 1024
-    instances: int = 3
 
     def validate(self) -> None:
         if self.kind not in DETECTORS:
             raise ConfigError(f"unknown detector {self.kind!r}; expected one of {DETECTORS}")
-        if self.k < 1:
-            raise ConfigError("k must be >= 1")
+        for bad, message in ((self.k < 1, "k must be >= 1"),
+                             (self.report_epsilon < 0, "report epsilon must be >= 0"),
+                             (self.time_unit_ns < 1, "time unit must be >= 1 ns"),
+                             (self.window_ns < 0, "window must be >= 0"),
+                             (not 0 < self.epsilon < 1, "epsilon must lie in (0, 1)"),
+                             (self.k_threshold <= 1, "k threshold must be > 1")):
+            if bad:
+                raise ConfigError(message)
 
 
 @dataclass
@@ -143,26 +148,20 @@ def _stream_sketch_with_gate(trace: Trace, detector, trigger_types,
                              cfg: DetectorConfig) -> CandidateLog:
     """Chunked streaming: update the sketch, then evaluate the mirroring
     gate for flows that carried a trigger-type packet in the chunk."""
-    gate = BloomGate(cfg.gate_bits, run_seed=cfg.seed)
+    gate = BloomGate(GATE_BITS, run_seed=cfg.seed)
     log = CandidateLog(seed_signature=detector.table.seed_signature())
     trigger_codes = [int(t) for t in trigger_types]
-    decided: set[int] = set()   # folds the gate has already ruled on
     for lo in range(0, len(trace), CHUNK):
         sub = trace.select(slice(lo, lo + CHUNK))
         admitted, keys, folds = detector.observe_batch(sub)
         rows = np.flatnonzero(np.isin(sub.ptype[admitted], trigger_codes))
         hot, first = np.unique(folds[rows], return_index=True)
-        if len(hot) == 0:
-            continue
         estimates = np.abs(detector.table.estimate_batch(hot))
         threshold = cfg.report_epsilon * detector.table.total_l1 / 2.0
-        crossing = estimates >= threshold
+        crossing = np.flatnonzero(estimates >= threshold)
         now = int(sub.ts[-1])
-        for fold, row, est in zip(hot[crossing].tolist(), rows[first[crossing]].tolist(),
-                                  estimates[crossing].tolist()):
-            if fold not in decided:
-                decided.add(fold)
-                maybe_report(gate, log, keys[row].tobytes(), est, threshold, now)
+        for i in crossing[gate.insert_folds(hot[crossing])].tolist():
+            log.entries.append((keys[rows[first[i]]].tobytes(), now, float(estimates[i])))
     return log
 
 
@@ -170,8 +169,7 @@ def compute_relevant(trace: Trace, cfg: DetectorConfig, k: int) -> list[bytes]:
     """Oracle top-k for a detector kind: the relevant set for scoring."""
     if cfg.kind == "latency":
         oracle = oracle_rtt(trace, TypeFilter.named(cfg.type_filter),
-                            time_unit_ns=cfg.time_unit_ns,
-                            epoch_start_ns=cfg.epoch_start_ns)
+                            time_unit_ns=cfg.time_unit_ns)
         return relevant_topk(oracle.matched, k)
     if cfg.kind == "loss":
         return relevant_topk(oracle_loss(trace), k)
@@ -206,19 +204,18 @@ def run_experiment(trace: Trace, manifest: dict, cfg: DetectorConfig,
     if cfg.kind == "latency":
         det = LatencyDetector(buckets=buckets, rows=cfg.rows, run_seed=cfg.seed,
                               type_filter=TypeFilter.named(cfg.type_filter),
-                              time_unit_ns=cfg.time_unit_ns,
-                              epoch_start_ns=cfg.epoch_start_ns)
+                              time_unit_ns=cfg.time_unit_ns)
         candidates = _stream_sketch_with_gate(
             trace, det, det.type_filter.responses, cfg)
         report = det.topk(candidates.keys(), k, epsilon=0.0)
         snapshot = det.table.to_bytes()
-        extended_total = cfg.budget_bytes + cfg.gate_bits // 8
+        extended_total = cfg.budget_bytes + GATE_BITS // 8
     elif cfg.kind == "loss":
         det = LossDetector(buckets=buckets, rows=cfg.rows, run_seed=cfg.seed)
         candidates = _stream_sketch_with_gate(trace, det, (PacketType.DATA,), cfg)
         report = det.topk(candidates.keys(), k, epsilon=0.0)
         snapshot = det.table.to_bytes()
-        extended_total = cfg.budget_bytes + cfg.gate_bits // 8
+        extended_total = cfg.budget_bytes + GATE_BITS // 8
     elif cfg.kind == "ooo":
         slots, capacity = ooo_shape(cfg.budget_bytes)
         slots = cfg.ooo_slots or slots
@@ -231,8 +228,7 @@ def run_experiment(trace: Trace, manifest: dict, cfg: DetectorConfig,
         extended_total = det.memory_bytes()
     else:
         det = RetransmitDetector(buckets=buckets, rows=cfg.rows, run_seed=cfg.seed,
-                                 epsilon=cfg.epsilon, registers=cfg.registers,
-                                 instances=cfg.instances)
+                                 epsilon=cfg.epsilon, registers=cfg.registers)
         det.observe_trace(trace)
         report = det.report(cfg.k_threshold)
         report.entries = report.entries[:k]

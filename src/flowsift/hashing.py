@@ -75,6 +75,11 @@ def fold64(data: bytes) -> int:
     return h
 
 
+def fold64_keys(keys) -> np.ndarray:
+    """fold64 of each byte key, any widths, as a uint64 array."""
+    return np.array([fold64(key) for key in keys], dtype=np.uint64)
+
+
 def fold64_int(value: int) -> int:
     return fold64(int(value).to_bytes(8, "little"))
 

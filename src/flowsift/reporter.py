@@ -6,6 +6,9 @@ gate, for differential testing) suppresses re-reports. A controller
 later re-estimates every logged key against a sketch snapshot to rank
 the top-K influential flows. Bloom false positives suppress a first
 report and therefore lose that key; they never duplicate.
+
+The Bloom gate takes a batch of prefolded keys (``insert_folds``); the
+per-key ``insert``, ``in`` and ``maybe_report`` are batches of one.
 """
 
 from __future__ import annotations
@@ -35,21 +38,36 @@ class BloomGate:
         self._pairs = [hashing.derive_hash_pair(run_seed, i, hashing.STREAM_BLOOM)
                        for i in range(hashes)]
 
-    def _positions(self, key: bytes) -> list[int]:
-        x = hashing.fold64(key)
-        return [hashing.bucket_of_fold(p, x, self.bits) for p in self._pairs]
+    def _positions(self, folds: np.ndarray) -> np.ndarray:
+        """(n, hashes) bit positions of prefolded keys."""
+        return np.stack([hashing.bucket_batch(p, folds, self.bits) for p in self._pairs],
+                        axis=1)
 
     def __contains__(self, key: bytes) -> bool:
-        return all(self.array[pos] for pos in self._positions(key))
+        return bool(self.array[self._positions(hashing.fold64_keys([key]))].all())
 
     def insert(self, key: bytes) -> bool:
         """Set the key's bits; True, and counted, only if one was unset."""
-        positions = self._positions(key)
-        if self.array[positions].all():
-            return False
-        self.array[positions] = True
-        self.inserted += 1
-        return True
+        return bool(self.insert_folds(hashing.fold64_keys([key])))
+
+    def insert_folds(self, folds: np.ndarray) -> list[int]:
+        """Insert prefolded keys in order; the indices of those that had an
+        unset bit, each set and counted in ``inserted``.
+
+        Folds whose bits are all set already are screened out at once
+        (bits are never cleared); the rest go one by one, because a fold
+        set earlier in the call can make a later one a false positive.
+        """
+        positions = self._positions(folds)
+        array = self.array
+        new = []
+        rest = np.flatnonzero(~array[positions].all(axis=1))
+        for i, pos in zip(rest.tolist(), positions[rest].tolist()):
+            if not all(array[p] for p in pos):
+                array[pos] = True
+                new.append(i)
+        self.inserted += len(new)
+        return new
 
     def memory_bytes(self) -> int:
         return self.bits // 8

@@ -12,7 +12,6 @@ instead of being scattered through every experiment.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -172,10 +171,3 @@ def read_manifest(path: "str | Path") -> dict:
     with open(path, "r", encoding="utf-8") as f:
         return json.load(f)
 
-
-def file_sha256(path: "str | Path") -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as f:
-        for block in iter(lambda: f.read(1 << 20), b""):
-            digest.update(block)
-    return digest.hexdigest()

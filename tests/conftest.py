@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from flowsift.packets import FlowKey, PacketRecord, PacketType
 from flowsift.traceio import Trace
+
+# One profile for every property test: per-key calls through the batch
+# paths cost tens of microseconds, too slow for the default deadline.
+settings.register_profile("flowsift", max_examples=50, deadline=None)
+settings.load_profile("flowsift")
 
 
 def make_key(i: int, proto: int = 6) -> FlowKey:

@@ -117,6 +117,22 @@ def test_missing_rate_is_config_error(workspace):
     assert code == 2
 
 
+@pytest.mark.parametrize("detector,flag,value", [
+    ("loss", "--report-epsilon", -1),
+    ("retransmit", "--k-threshold", 0.5),
+    ("ooo", "--epsilon", -1),
+    ("retransmit", "--epsilon", -1),
+    ("retransmit", "--epsilon", 0),
+    ("ooo", "--window-ms", -1),
+    ("latency", "--time-unit", 0),
+], ids=["report-epsilon", "k-threshold", "epsilon-ooo", "epsilon-retransmit",
+        "epsilon-zero", "window-ms", "time-unit"])
+def test_out_of_range_knob_is_config_error(workspace, capsys, detector, flag, value):
+    _, trace = workspace
+    assert run_cli("--trace", trace, "run", "--detector", detector, flag, value) == 2
+    assert "config error" in capsys.readouterr().err
+
+
 def test_missing_trace_flag_is_config_error():
     assert run_cli("run", "--detector", "latency") == 2
 

@@ -1,11 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from flowsift import hashing
 from flowsift.countsketch import CountSketchTable
-from flowsift.hashing import fold64, sign_of_fold
+from flowsift.hashing import bucket_of_fold, fold64, sign_of_fold
 
 from conftest import random_keys
+
+KEY_POOL = random_keys(np.random.default_rng(7), 20)
+updates_st = st.lists(st.tuples(st.sampled_from(KEY_POOL), st.integers(-1000, 1000)),
+                      max_size=60)
+shape_st = st.tuples(st.integers(1, 5), st.integers(1, 32), st.integers(0, 2**32))
 
 
 def test_update_then_cancel_leaves_zero_table():
@@ -58,7 +64,7 @@ def test_even_row_count_takes_lower_middle():
                                       hashing.HashPair(1, 1 << 63, 1)])
     t.counters[0, 0] = 10
     t.counters[1, 0] = 10
-    vals = sorted(t._row_estimates(b"k"))
+    vals = sorted(t._row_estimates_batch(np.array([fold64(b"k")], dtype=np.uint64))[:, 0])
     assert t.estimate(b"k") == vals[0]
 
 
@@ -220,3 +226,71 @@ def test_batch_estimate_matches_scalar(rng):
     for i in (0, 7, 123, 299):
         assert est[i] == t.estimate(keys[i])
         assert est_abs[i] == t.estimate_abs(keys[i])
+
+
+@pytest.mark.parametrize("rows", [3, 4])
+def test_table_matches_scalar_replay(rng, rows):
+    # pure-Python replay: one counter per row, lower-middle median
+    buckets = 16
+    t = CountSketchTable(rows, buckets, run_seed=40 + rows)
+    keys = random_keys(rng, 40)
+    counters = [[0] * buckets for _ in range(rows)]
+    for _ in range(300):
+        key, delta = keys[rng.integers(len(keys))], int(rng.integers(-9, 10))
+        t.update(key, delta)
+        x = fold64(key)
+        for j in range(rows):
+            b = bucket_of_fold(t.row_hashes[j], x, buckets)
+            counters[j][b] += sign_of_fold(t.sign_hashes[j], x) * delta
+    assert t.counters.tolist() == counters
+    folds = np.array([fold64(k) for k in keys], dtype=np.uint64)
+    est, est_abs = t.estimate_batch(folds), t.estimate_abs_batch(folds)
+    for i, key in enumerate(keys):
+        x = fold64(key)
+        vals = sorted(sign_of_fold(t.sign_hashes[j], x)
+                      * counters[j][bucket_of_fold(t.row_hashes[j], x, buckets)]
+                      for j in range(rows))
+        mid = (rows - 1) // 2
+        assert t.estimate(key) == est[i] == vals[mid]
+        assert t.estimate_abs(key) == est_abs[i] == sorted(map(abs, vals))[mid]
+
+
+def _batch(updates):
+    folds = np.array([fold64(k) for k, _ in updates], dtype=np.uint64)
+    return folds, np.array([d for _, d in updates], dtype=np.int64)
+
+
+@given(updates_st, shape_st)
+def test_per_key_updates_equal_one_batch(updates, shape):
+    rows, buckets, seed = shape
+    one, batch = (CountSketchTable(rows, buckets, run_seed=seed) for _ in range(2))
+    for key, delta in updates:
+        one.update(key, delta)
+    batch.update_batch(*_batch(updates))
+    assert (one.counters == batch.counters).all()
+    assert one.total_l1 == batch.total_l1
+
+
+@given(updates_st, st.integers(0, 60), shape_st)
+def test_split_stream_merged_equals_whole(updates, cut, shape):
+    rows, buckets, seed = shape
+    head, tail, whole = (CountSketchTable(rows, buckets, run_seed=seed) for _ in range(3))
+    head.update_batch(*_batch(updates[:cut]))
+    tail.update_batch(*_batch(updates[cut:]))
+    whole.update_batch(*_batch(updates))
+    head.merge(tail)
+    assert (head.counters == whole.counters).all()
+    assert head.total_l1 == whole.total_l1
+
+
+@given(updates_st, shape_st)
+def test_snapshot_round_trip_keeps_estimates(updates, shape):
+    rows, buckets, seed = shape
+    t = CountSketchTable(rows, buckets, run_seed=seed)
+    t.update_batch(*_batch(updates))
+    back = CountSketchTable.from_bytes(t.to_bytes())
+    assert (back.counters == t.counters).all()
+    assert back.total_l1 == t.total_l1
+    folds = np.array([fold64(k) for k in KEY_POOL], dtype=np.uint64)
+    assert (back.estimate_batch(folds) == t.estimate_batch(folds)).all()
+    assert back.heavy_keys(KEY_POOL, 0) == t.heavy_keys(KEY_POOL, 0)

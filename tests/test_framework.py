@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from flowsift import hashing
 from flowsift.framework import (FrameworkSketch, flow_id32, flow_id32_batch,
@@ -168,7 +168,6 @@ def reference_recover(sketch):
     return found
 
 
-@settings(max_examples=50, deadline=None)
 @given(ids_and_weights, st.lists(st.integers(0, 200), max_size=6), st.integers(0, 2**32))
 def test_split_updates_equal_one_update(data, cuts, seed):
     ids, weights = np.array(data[0]), np.array(data[1])
@@ -188,7 +187,6 @@ def test_split_updates_equal_one_update(data, cuts, seed):
     assert [tuple(r) for r in whole.recover_detailed()] == reference_recover(whole)
 
 
-@settings(max_examples=50, deadline=None)
 @given(ids_and_weights, st.integers(0, 2**32))
 def test_dominant_flow_recovered_exactly(data, seed):
     ids, weights = np.array(data[0]), np.abs(np.array(data[1])) + 1
@@ -206,7 +204,6 @@ def test_dominant_flow_recovered_exactly(data, seed):
             assert recovered[bucket] == top_id
 
 
-@settings(max_examples=50, deadline=None)
 @given(st.lists(st.binary(min_size=13, max_size=13), min_size=1, max_size=50),
        st.integers(0, 2**32), st.integers(1, 1000))
 def test_vector_ids_and_buckets_match_scalar(keys, seed, buckets):

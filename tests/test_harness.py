@@ -1,13 +1,19 @@
 import json
 
+import numpy as np
 import pytest
 
+from flowsift import harness
 from flowsift.harness import (ConfigError, DataError, DetectorConfig,
                               EvalResult, budget_to_buckets, median_recall,
                               ooo_shape, read_json, run_experiment,
                               sweep_memory, write_csv, write_json,
                               write_reports, _score)
 from flowsift.inject import InjectionPlan, inject_latency, inject_loss
+from flowsift.latency import LatencyDetector, TypeFilter
+from flowsift.loss import LossDetector
+from flowsift.packets import PacketType
+from flowsift.reporter import BloomGate, CandidateLog, maybe_report
 from flowsift.synth import SynthConfig, synthesize
 from flowsift.traceio import Trace
 
@@ -100,6 +106,52 @@ def test_determinism_of_semantic_fields(latency_setup):
     assert a.result.semantic_fields() == b.result.semantic_fields()
     assert a.returned == b.returned
     assert a.candidates.entries == b.candidates.entries
+
+
+def _reference_candidates(trace, cfg):
+    """The gate loop with an exact set of decided folds in front of a
+    per-key maybe_report; returns the log entries and the decided count."""
+    buckets = budget_to_buckets(cfg.budget_bytes, cfg.rows)
+    if cfg.kind == "latency":
+        det = LatencyDetector(buckets=buckets, rows=cfg.rows, run_seed=cfg.seed,
+                              type_filter=TypeFilter.named(cfg.type_filter),
+                              time_unit_ns=cfg.time_unit_ns)
+        codes = [int(t) for t in det.type_filter.responses]
+    else:
+        det = LossDetector(buckets=buckets, rows=cfg.rows, run_seed=cfg.seed)
+        codes = [int(PacketType.DATA)]
+    gate, log = BloomGate(harness.GATE_BITS, run_seed=cfg.seed), CandidateLog()
+    decided = set()
+    for lo in range(0, len(trace), harness.CHUNK):
+        sub = trace.select(slice(lo, lo + harness.CHUNK))
+        admitted, keys, folds = det.observe_batch(sub)
+        rows = np.flatnonzero(np.isin(sub.ptype[admitted], codes))
+        hot, first = np.unique(folds[rows], return_index=True)
+        if len(hot) == 0:
+            continue
+        estimates = np.abs(det.table.estimate_batch(hot))
+        threshold = cfg.report_epsilon * det.table.total_l1 / 2.0
+        for fold, row, est in zip(hot.tolist(), rows[first].tolist(), estimates.tolist()):
+            if est >= threshold and fold not in decided:
+                decided.add(fold)
+                maybe_report(gate, log, keys[row].tobytes(), est, threshold,
+                             int(sub.ts[-1]))
+    return log.entries, len(decided)
+
+
+@pytest.mark.parametrize("kind", ["latency", "loss"])
+def test_gate_loop_matches_decided_set_reference(latency_setup, kind, monkeypatch):
+    # a 256-bit gate saturates, so Bloom suppressions are part of the log
+    monkeypatch.setattr(harness, "GATE_BITS", 1 << 8)
+    monkeypatch.setattr(harness, "CHUNK", 512)
+    trace, manifest = latency_setup
+    cfg = DetectorConfig(kind, budget_bytes=4_000, seed=3, k=30, type_filter="data",
+                         report_epsilon=1e-4)
+    entries, decided = _reference_candidates(trace, cfg)
+    art = run_experiment(trace, manifest, cfg)
+    assert art.candidates.entries == entries
+    assert 0 < len(entries) < decided
+    assert art.result.extended_memory_bytes == 4_000 + 32
 
 
 def test_loss_pipeline_end_to_end():

@@ -1,5 +1,8 @@
+import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+from flowsift import hashing
 from flowsift.countsketch import CountSketchTable
 from flowsift.reporter import (BloomGate, CandidateLog, ExactGate,
                                controller_topk, maybe_report)
@@ -28,6 +31,44 @@ def test_gate_insert_says_whether_key_was_new(make_gate):
     assert gate.insert(b"key") is False
     assert b"key" in gate
     assert gate.inserted == 1
+
+
+def _one_at_a_time(gate: BloomGate, folds: list[int]) -> tuple[list[int], list[bool]]:
+    """Scalar reference: new indices and final bits, one fold at a time."""
+    bits, new = [False] * gate.bits, []
+    for i, x in enumerate(folds):
+        positions = [hashing.bucket_of_fold(p, x, gate.bits) for p in gate._pairs]
+        if not all(bits[pos] for pos in positions):
+            for pos in positions:
+                bits[pos] = True
+            new.append(i)
+    return new, bits
+
+
+@given(st.data())
+def test_insert_folds_matches_one_at_a_time_reference(data):
+    pool = data.draw(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=40))
+    folds = data.draw(st.lists(st.sampled_from(pool), max_size=120))
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(folds)), max_size=8)))
+    gate = BloomGate(bits=64, hashes=2, run_seed=data.draw(st.integers(0, 2**16)))
+    got = []
+    for lo, hi in zip([0] + cuts, cuts + [len(folds)]):
+        chunk = np.array(folds[lo:hi], dtype=np.uint64)
+        got += [lo + i for i in gate.insert_folds(chunk)]
+    new, bits = _one_at_a_time(gate, folds)
+    assert got == new
+    assert gate.array.tolist() == bits
+    assert gate.inserted == len(new)
+
+
+def test_insert_folds_refuses_false_positives_within_one_call(rng):
+    # every bit starts clear, so each refusal below is set up by an
+    # earlier fold of the same call
+    gate = BloomGate(bits=64, hashes=2, run_seed=12)
+    folds = np.unique(rng.integers(0, 2**63, 200, dtype=np.uint64))
+    new = gate.insert_folds(folds)
+    assert len(new) < len(folds)
+    assert new == _one_at_a_time(gate, folds.tolist())[0]
 
 
 def test_negative_threshold_rejected():
