@@ -112,6 +112,8 @@ def _cfg_from_args(args, budget_kb: int) -> DetectorConfig:
         rows = max(1, math.ceil(math.log2(1 / args.delta)))
     budget_bytes = budget_kb * 1000
     if args.sketch_epsilon is not None:
+        if not 0 < args.sketch_epsilon < 1:
+            raise ConfigError("--sketch-epsilon must lie in (0, 1)")
         buckets = math.ceil(9 / args.sketch_epsilon ** 2)
         budget_bytes = buckets * rows * 4
     ooo_slots = None

@@ -2,9 +2,11 @@
 
 Every injector is measure-preserving outside the victim flows and
 records ground truth in a manifest next to the modified trace. Victims
-are drawn from the heaviest flows (by data-packet count); the pool size
-and draw count are plan parameters. Injected latency is drawn once per
-flow, so a victim's delay is constant across its packets.
+are drawn from the heaviest flows by data-packet count, ranked from one
+``flow_groups`` pass; the pool size and draw count are plan parameters.
+Injected latency is drawn once per flow, so a victim's delay is constant
+across its packets. An injector that moves or adds records re-sorts with
+``Trace.time_sorted``, whose full ties keep input order.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .oracle import oracle_ooo
+from .oracle import flow_groups, oracle_ooo
 from .packets import PacketType
 from .traceio import Trace
 
@@ -57,11 +59,10 @@ def rank_flows(trace: Trace) -> tuple[np.ndarray, np.ndarray]:
     Returns (keys as a void-13 array, counts), heaviest first; ties
     break on key bytes.
     """
-    data = trace.select(trace.ptype == int(PacketType.DATA))
-    view = _key_view(data)
-    uniq, counts = np.unique(view, return_counts=True)
-    order = np.lexsort((uniq, -counts))
-    return uniq[order], counts[order]
+    order, starts, keys = flow_groups(trace)
+    counts = np.diff(starts, append=len(order))
+    heaviest = np.lexsort((keys, -counts))
+    return keys[heaviest], counts[heaviest]
 
 
 def select_victims(trace: Trace, plan: InjectionPlan) -> list[bytes]:
@@ -133,54 +134,45 @@ def inject_latency(trace: Trace, plan: InjectionPlan) -> tuple[Trace, dict]:
     return out, _manifest(plan, out, victims, delays, true_values)
 
 
-def inject_loss(trace: Trace, plan: InjectionPlan) -> tuple[Trace, dict]:
-    """Drop each victim DATA packet independently at the plan's rate."""
+def _sample_victim_data(trace: Trace, plan: InjectionPlan):
+    """Victims, each record's victim index (-1 for none), and the mask of
+    victim DATA records drawn independently at the plan's rate."""
     plan.validate()
     victims = select_victims(trace, plan)
     rng = np.random.default_rng(plan.seed + 1)
     victim_idx = _victim_index(_key_view(trace), victims)
-    droppable = (victim_idx >= 0) & (trace.ptype == int(PacketType.DATA))
-    drop = droppable & (rng.random(len(trace)) < plan.magnitude)
-    lost_counts = np.bincount(victim_idx[drop], minlength=len(victims))
+    sampled = (victim_idx >= 0) & (trace.ptype == int(PacketType.DATA)) \
+        & (rng.random(len(trace)) < plan.magnitude)
+    return victims, victim_idx, sampled
 
+
+def inject_loss(trace: Trace, plan: InjectionPlan) -> tuple[Trace, dict]:
+    """Drop each victim DATA packet independently at the plan's rate."""
+    victims, victim_idx, drop = _sample_victim_data(trace, plan)
     out = trace.select(~drop)
-    return out, _manifest(plan, out, victims,
-                          [plan.magnitude] * len(victims), lost_counts)
+    return out, _manifest(plan, out, victims, [plan.magnitude] * len(victims),
+                          np.bincount(victim_idx[drop], minlength=len(victims)))
 
 
 def inject_reorder(trace: Trace, plan: InjectionPlan,
                    delay_ns: int = REORDER_DELAY_NS,
                    window_ns: int = 3_000_000) -> tuple[Trace, dict]:
     """Delay sampled victim DATA packets by 5 ms to break packet order."""
-    plan.validate()
-    victims = select_victims(trace, plan)
-    rng = np.random.default_rng(plan.seed + 1)
-    victim_idx = _victim_index(_key_view(trace), victims)
-    sampled = (victim_idx >= 0) & (trace.ptype == int(PacketType.DATA)) \
-        & (rng.random(len(trace)) < plan.magnitude)
+    victims, _, sampled = _sample_victim_data(trace, plan)
     arr = trace.arr.copy()
     arr["ts"][sampled] = arr["ts"][sampled] + np.uint64(delay_ns)
     out = Trace(arr).time_sorted()
-
     weights = oracle_ooo(out, window_ns=window_ns)
-    true_values = [weights.get(v, 0) for v in victims]
-    return out, _manifest(plan, out, victims,
-                          [plan.magnitude] * len(victims), true_values)
+    return out, _manifest(plan, out, victims, [plan.magnitude] * len(victims),
+                          [weights.get(v, 0) for v in victims])
 
 
 def inject_duplicate(trace: Trace, plan: InjectionPlan,
                      jitter_ns: int = DUPLICATE_JITTER_NS) -> tuple[Trace, dict]:
     """Append a jittered copy of sampled victim DATA packets."""
-    plan.validate()
-    victims = select_victims(trace, plan)
-    rng = np.random.default_rng(plan.seed + 1)
-    victim_idx = _victim_index(_key_view(trace), victims)
-    sampled = (victim_idx >= 0) & (trace.ptype == int(PacketType.DATA)) \
-        & (rng.random(len(trace)) < plan.magnitude)
-    copies = trace.arr[sampled].copy()
+    victims, victim_idx, sampled = _sample_victim_data(trace, plan)
+    copies = trace.arr[sampled]
     copies["ts"] = copies["ts"] + np.uint64(jitter_ns)
-    dup_counts = np.bincount(victim_idx[sampled], minlength=len(victims))
-
     out = Trace(np.concatenate([trace.arr, copies])).time_sorted()
-    return out, _manifest(plan, out, victims,
-                          [plan.magnitude] * len(victims), dup_counts)
+    return out, _manifest(plan, out, victims, [plan.magnitude] * len(victims),
+                          np.bincount(victim_idx[sampled], minlength=len(victims)))

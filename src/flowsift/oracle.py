@@ -5,6 +5,12 @@ Linear-memory, evaluation-side only: these functions define the
 deliberately do what the sketches cannot afford to do. Maps carry only
 flows with a nonzero statistic (the retransmission oracle is the
 exception: it reports every data flow's packet/distinct counts).
+
+Every oracle groups the trace by flow once with a stable sort
+(``flow_groups``; ``oracle_rtt`` groups by canonical pair), so a flow's
+records stay in stream order, then works on whole segments: ``reduceat``
+per flow, a running max that restarts at each session start, and
+per-flow ranks of requests and responses. No oracle loops over flows.
 """
 
 from __future__ import annotations
@@ -32,6 +38,48 @@ class RttOracle(NamedTuple):
     matched: dict[bytes, int]
 
 
+def _run_starts(ordered: np.ndarray) -> np.ndarray:
+    """Where each run of equal values in a sorted array begins."""
+    new = np.ones(len(ordered), dtype=bool)
+    new[1:] = ordered[1:] != ordered[:-1]
+    return np.flatnonzero(new)
+
+
+def _groups(view: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stable sort of a void key view: (order, starts of each key's run)."""
+    order = np.argsort(view, kind="stable")
+    return order, _run_starts(view[order])
+
+
+def flow_groups(trace: Trace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """DATA records grouped by flow key, stream order kept within a flow.
+
+    Returns (order, starts, keys): ``order`` holds the trace's DATA row
+    indices flow by flow, flow g's rows are ``order[starts[g]:starts[g+1]]``,
+    and ``keys`` are the flows' void-13 keys in ascending byte order.
+    """
+    data = np.flatnonzero(trace.ptype == int(PacketType.DATA))
+    view = np.ascontiguousarray(trace.key_matrix()[data]).view(_KEY13).ravel()
+    order, starts = _groups(view)
+    return data[order], starts, view[order[starts]]
+
+
+def _group_ids(starts: np.ndarray, n: int) -> np.ndarray:
+    return np.repeat(np.arange(len(starts)), np.diff(starts, append=n))
+
+
+def _earlier_in_group(mask: np.ndarray, starts: np.ndarray, gid: np.ndarray) -> np.ndarray:
+    """Per row: how many rows of its group before it are set in ``mask``."""
+    before = np.cumsum(mask) - mask
+    return before - before[starts][gid]
+
+
+def _by_key(keys: np.ndarray, values: np.ndarray) -> dict[bytes, int]:
+    """{key bytes: int value} for the nonzero values."""
+    hit = np.flatnonzero(values)
+    return {k.tobytes(): v for k, v in zip(keys[hit], values[hit].tolist())}
+
+
 def oracle_rtt(trace: Trace, type_filter=None, *, time_unit_ns: int = 1000,
                epoch_start_ns: int = 0) -> RttOracle:
     from .latency import TypeFilter
@@ -40,61 +88,41 @@ def oracle_rtt(trace: Trace, type_filter=None, *, time_unit_ns: int = 1000,
     admitted = np.isin(trace.ptype,
                        [int(t) for t in (type_filter.requests | type_filter.responses)])
     sub = trace.select(admitted)
-    if len(sub) == 0:
-        return RttOracle({}, {})
     matrix, fwd = sub.canonical_matrix()
     view = np.ascontiguousarray(matrix).view(_KEY26).ravel()
-    t = (sub.ts.astype(np.int64) - epoch_start_ns) // time_unit_ns
-    signed = np.where(fwd, t, -t)
-    is_resp = np.isin(sub.ptype, [int(x) for x in type_filter.responses])
+    order, starts = _groups(view)
+    keys = view[order[starts]]
+    t = ((sub.ts.astype(np.int64) - epoch_start_ns) // time_unit_ns)[order]
+    sums = np.add.reduceat(np.where(fwd[order], t, -t), starts)
+    accumulated = {k.tobytes(): abs(s) for k, s in zip(keys, sums.tolist())}
 
-    order = np.argsort(view, kind="stable")
-    keys, starts = np.unique(view[order], return_index=True)
-    sums = np.add.reduceat(signed[order], starts)
-    accumulated = {k.tobytes(): int(abs(s)) for k, s in zip(keys, sums)}
-
-    matched: dict[bytes, int] = {}
-    t_ord, resp_ord = t[order], is_resp[order]
-    bounds = np.append(starts, len(view))
-    for i, key in enumerate(keys):
-        lo, hi = bounds[i], bounds[i + 1]
-        req_t = t_ord[lo:hi][~resp_ord[lo:hi]]
-        rsp_t = t_ord[lo:hi][resp_ord[lo:hi]]
-        pairs = min(len(req_t), len(rsp_t))
-        if pairs:
-            total = int(rsp_t[:pairs].sum() - req_t[:pairs].sum())
-            if total:
-                matched[key.tobytes()] = total
-    return RttOracle(accumulated, matched)
-
-
-def _data_groups(trace: Trace, *extra_cols: str):
-    """DATA records grouped by flow key in stream order.
-
-    Yields (key bytes, column arrays...) for the requested columns.
-    """
-    data = trace.select(trace.ptype == int(PacketType.DATA))
-    if len(data) == 0:
-        return
-    rows = data.key_matrix()
-    view = np.ascontiguousarray(rows).view(_KEY13).ravel()
-    order = np.argsort(view, kind="stable")
-    keys, starts = np.unique(view[order], return_index=True)
-    bounds = np.append(starts, len(view))
-    cols = [getattr(data, c).astype(np.int64)[order] for c in extra_cols]
-    for i, key in enumerate(keys):
-        lo, hi = bounds[i], bounds[i + 1]
-        yield key.tobytes(), *(c[lo:hi] for c in cols)
+    # FIFO matching: the i-th response of a pair answers its i-th request
+    is_resp = np.isin(sub.ptype[order], [int(x) for x in type_filter.responses])
+    gid = _group_ids(starts, len(order))
+    pairs = np.minimum(np.add.reduceat(is_resp, starts),
+                       np.add.reduceat(~is_resp, starts))
+    rank = np.where(is_resp, _earlier_in_group(is_resp, starts, gid),
+                    _earlier_in_group(~is_resp, starts, gid))
+    paired = rank < pairs[gid]
+    matched = np.add.reduceat(np.where(paired, np.where(is_resp, t, -t), 0), starts)
+    return RttOracle(accumulated, _by_key(keys, matched))
 
 
 def oracle_loss(trace: Trace) -> dict[bytes, int]:
     """Missing-id count per flow: ids below the max that never appear."""
-    out: dict[bytes, int] = {}
-    for key, seq in _data_groups(trace, "seq"):
-        missing = int(seq.max()) - len(np.unique(seq))
-        if missing > 0:
-            out[key] = missing
-    return out
+    order, starts, keys = flow_groups(trace)
+    seq = trace.seq[order].astype(np.int64)
+    missing = np.maximum.reduceat(seq, starts) - _distinct_per_flow(seq, starts)
+    return _by_key(keys, np.maximum(missing, 0))
+
+
+def _distinct_per_flow(seq: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Distinct ids per flow; flows are contiguous runs starting at ``starts``."""
+    ordered = seq[np.lexsort((seq, _group_ids(starts, len(seq))))]
+    new = np.zeros(len(seq), dtype=bool)
+    new[_run_starts(ordered)] = True
+    new[starts] = True
+    return np.add.reduceat(new, starts)
 
 
 def oracle_ooo(trace: Trace, window_ns: int = 3_000_000,
@@ -104,31 +132,21 @@ def oracle_ooo(trace: Trace, window_ns: int = 3_000_000,
     A packet counts when its id is at or below the flow's max id seen
     since the last gap longer than the window; a gap resets the max.
     """
-    out: dict[bytes, int] = {}
-    for key, seq, ts, size in _data_groups(trace, "seq", "ts", "size"):
-        w = size if weight_mode == "bytes" else np.ones_like(seq)
-        if len(seq) < 2:
-            continue
-        fresh = np.empty(len(seq), dtype=bool)
-        fresh[0] = True
-        fresh[1:] = np.diff(ts) > window_ns
-        total = 0
-        if not fresh[1:].any():
-            prevmax = np.maximum.accumulate(seq)[:-1]
-            hits = seq[1:] <= prevmax
-            total = int(w[1:][hits].sum())
-        elif not fresh.all():
-            max_seq = 0
-            for i in range(len(seq)):
-                if fresh[i]:
-                    max_seq = seq[i]
-                elif seq[i] <= max_seq:
-                    total += int(w[i])
-                else:
-                    max_seq = seq[i]
-        if total > 0:
-            out[key] = total
-    return out
+    order, starts, keys = flow_groups(trace)
+    seq = trace.seq[order].astype(np.int64)
+    fresh = np.ones(len(seq), dtype=bool)
+    fresh[1:] = np.diff(trace.ts[order].astype(np.int64)) > window_ns
+    fresh[starts] = True
+    # running max per session: sessions are consecutive and the max restarts
+    # at each, so a global max over (session, id rank) pairs never crosses one
+    distinct, ranks = np.unique(seq, return_inverse=True)
+    pair = (np.cumsum(fresh) - 1) * len(distinct) + ranks
+    late = np.zeros(len(seq), dtype=bool)
+    late[1:] = pair[1:] <= np.maximum.accumulate(pair)[:-1]
+    late &= ~fresh
+    weight = trace.size[order] if weight_mode == "bytes" else 1
+    totals = np.add.reduceat(np.where(late, weight, 0).astype(np.int64), starts)
+    return _by_key(keys, totals)
 
 
 class RtxStats(NamedTuple):
@@ -139,11 +157,11 @@ class RtxStats(NamedTuple):
 
 def oracle_rtx(trace: Trace) -> dict[bytes, RtxStats]:
     """Packet count, distinct-id count, and their ratio, for every data flow."""
-    out: dict[bytes, RtxStats] = {}
-    for key, seq in _data_groups(trace, "seq"):
-        n, d = len(seq), len(np.unique(seq))
-        out[key] = RtxStats(n, d, n / d)
-    return out
+    order, starts, keys = flow_groups(trace)
+    packets = np.diff(starts, append=len(order)).tolist()
+    distinct = _distinct_per_flow(trace.seq[order].astype(np.int64), starts).tolist()
+    return {k.tobytes(): RtxStats(n, d, n / d)
+            for k, n, d in zip(keys, packets, distinct)}
 
 
 def relevant_topk(mapping: dict, k: int) -> list[bytes]:

@@ -58,10 +58,6 @@ class FlowKey:
     def reversed(self) -> "FlowKey":
         return FlowKey(self.dst, self.src, self.dst_port, self.src_port, self.proto)
 
-    def to_od_pair(self) -> "FlowKey":
-        """Collapse to origin-destination identity (ports/proto zeroed)."""
-        return FlowKey(self.src, self.dst)
-
 
 class Endpoint(NamedTuple):
     addr: int

@@ -73,6 +73,21 @@ def _flow_keys(rng: np.random.Generator, flows: int) -> dict[str, np.ndarray]:
             return cols
 
 
+def _reversed(ends: dict) -> dict:
+    """The same endpoint columns seen from the other side."""
+    return {"src": ends["dst"], "dst": ends["src"],
+            "sport": ends["dport"], "dport": ends["sport"]}
+
+
+def _records(ptype: PacketType, ends: dict, **cols) -> np.ndarray:
+    """TCP records of one packet type from endpoint and field columns."""
+    out = np.empty(len(cols["ts"]), dtype=RECORD_DTYPE)
+    out["proto"], out["ptype"] = 6, int(ptype)
+    for name, value in {**ends, **cols}.items():
+        out[name] = value
+    return out
+
+
 def synthesize(cfg: SynthConfig) -> tuple[Trace, dict]:
     """Build the epoch trace and its manifest."""
     cfg.validate()
@@ -92,52 +107,19 @@ def synthesize(cfg: SynthConfig) -> tuple[Trace, dict]:
     seq = np.arange(n, dtype=np.int64) - starts[flow_of] + 1
     payload = rng.integers(64, 1500, n, dtype=np.int64)
 
-    data = np.empty(n, dtype=RECORD_DTYPE)
-    for col in ("src", "dst", "sport", "dport"):
-        data[col] = keys[col][flow_of]
-    data["proto"] = 6
-    data["ptype"] = int(PacketType.DATA)
-    data["seq"] = seq
-    data["ack"] = 0
-    data["ts"] = ts
-    data["size"] = payload
-
-    parts = [data]
+    ends = {col: keys[col][flow_of] for col in ("src", "dst", "sport", "dport")}
+    parts = [_records(PacketType.DATA, ends, seq=seq, ack=0, ts=ts, size=payload)]
     rtt = rng.integers(cfg.rtt_min_ns, cfg.rtt_max_ns + 1, cfg.flows, dtype=np.int64)
 
     if cfg.bidirectional:
-        acks = np.empty(n, dtype=RECORD_DTYPE)
-        acks["src"], acks["dst"] = data["dst"], data["src"]
-        acks["sport"], acks["dport"] = data["dport"], data["sport"]
-        acks["proto"] = 6
-        acks["ptype"] = int(PacketType.ACK)
-        acks["seq"] = 0
-        acks["ack"] = seq
-        acks["ts"] = ts + rtt[flow_of]
-        acks["size"] = ACK_SIZE
-
-        first_ts = np.minimum.reduceat(ts, starts)
-        syn_ts = np.maximum(first_ts - 1000, 0)
-        syns = np.empty(cfg.flows, dtype=RECORD_DTYPE)
-        for col in ("src", "dst", "sport", "dport"):
-            syns[col] = keys[col]
-        syns["proto"] = 6
-        syns["ptype"] = int(PacketType.SYN)
-        syns["seq"] = 1
-        syns["ack"] = 0
-        syns["ts"] = syn_ts
-        syns["size"] = HANDSHAKE_SIZE
-
-        synacks = np.empty(cfg.flows, dtype=RECORD_DTYPE)
-        synacks["src"], synacks["dst"] = syns["dst"], syns["src"]
-        synacks["sport"], synacks["dport"] = syns["dport"], syns["sport"]
-        synacks["proto"] = 6
-        synacks["ptype"] = int(PacketType.SYNACK)
-        synacks["seq"] = 0
-        synacks["ack"] = 1
-        synacks["ts"] = syn_ts + rtt
-        synacks["size"] = HANDSHAKE_SIZE
-        parts += [acks, syns, synacks]
+        syn_ts = np.maximum(np.minimum.reduceat(ts, starts) - 1000, 0)
+        parts += [
+            _records(PacketType.ACK, _reversed(ends), seq=0, ack=seq,
+                     ts=ts + rtt[flow_of], size=ACK_SIZE),
+            _records(PacketType.SYN, keys, seq=1, ack=0, ts=syn_ts, size=HANDSHAKE_SIZE),
+            _records(PacketType.SYNACK, _reversed(keys), seq=0, ack=1,
+                     ts=syn_ts + rtt, size=HANDSHAKE_SIZE),
+        ]
 
     trace = Trace(np.concatenate(parts)).time_sorted()
     manifest = {

@@ -35,6 +35,8 @@ assert RECORD_DTYPE.itemsize == RECORD_BYTES
 _REVERSED_KEY = np.r_[4:8, 0:4, 10:12, 8:10, 12]
 _FORWARD_PAIR = np.r_[0:KEY_BYTES, _REVERSED_KEY]
 _BACKWARD_PAIR = np.r_[_REVERSED_KEY, 0:KEY_BYTES]
+# time_sorted's columns as np.lexsort takes them, the primary one last
+_TIME_ORDER = ("seq", "ptype", "dport", "sport", "dst", "src", "ts")
 
 
 class Trace:
@@ -97,11 +99,16 @@ class Trace:
     # -- ordering and identity ----------------------------------------------
 
     def time_sorted(self) -> "Trace":
-        """Stable sort by (ts, key fields, ptype, seq): deterministic file order."""
+        """Stable sort by (ts, src, dst, sport, dport, ptype, seq), full ties in
+        input order: one stable argsort on ts, then a lexsort by all seven
+        columns of only the rows that share a timestamp."""
         a = self._arr
-        order = np.lexsort((a["seq"], a["ptype"], a["dport"], a["sport"],
-                            a["dst"], a["src"], a["ts"]))
-        return Trace(a[order])
+        order = np.argsort(a["ts"], kind="stable")
+        same = np.diff(a["ts"][order]) == 0
+        at = np.flatnonzero(np.r_[same, False] | np.r_[False, same])
+        rows = a[order[at]]
+        order[at] = order[at][np.lexsort([rows[c] for c in _TIME_ORDER])]
+        return Trace(np.take(a, order))
 
     def to_od_pairs(self) -> "Trace":
         """Collapse flow identities to origin-destination pairs.
@@ -116,7 +123,10 @@ class Trace:
         return Trace(a)
 
     def sha256(self) -> str:
-        return hashlib.sha256(TRACE_MAGIC + self._arr.tobytes()).hexdigest()
+        """Digest of the file bytes, read in place from the packed records."""
+        digest = hashlib.sha256(TRACE_MAGIC)
+        digest.update(self._record_bytes())
+        return digest.hexdigest()
 
     # -- key material for hashing -------------------------------------------
 

@@ -5,6 +5,8 @@ import pytest
 
 from flowsift.cli import main
 from flowsift.framework import flow_id32
+from flowsift.inject import rank_flows
+from flowsift.packets import PacketType
 from flowsift.traceio import load_trace, write_trace
 
 
@@ -110,6 +112,31 @@ def test_delta_and_sketch_epsilon_shape_table(workspace, capsys):
                    "--delta", 0.03125, "--sketch-epsilon", 0.1) == 0
 
 
+def synth_twice(tmp_path, *flags):
+    """Synthesize the same seed twice; the files must match byte for byte."""
+    paths = [tmp_path / f"synth{i}.lmt" for i in range(2)]
+    for path in paths:
+        assert run_cli("--seed", 7, "--trace", path, "synth", "--flows", 40,
+                       "--packets", 1001, "--duration-ms", 100, *flags) == 0
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+    trace = load_trace(paths[0])
+    assert (np.diff(trace.ts.astype(np.int64)) >= 0).all()
+    return trace
+
+
+def test_synth_unidirectional_has_data_only(tmp_path):
+    trace = synth_twice(tmp_path, "--unidirectional")
+    assert set(trace.ptype.tolist()) == {int(PacketType.DATA)}
+    assert len(rank_flows(trace)[0]) == 40
+
+
+def test_synth_odd_sizes_keeps_odd_flows(tmp_path):
+    _, rounded = rank_flows(synth_twice(tmp_path))
+    assert (rounded % 2 == 0).all()
+    _, raw = rank_flows(synth_twice(tmp_path, "--odd-sizes"))
+    assert (raw % 2 == 1).any() and raw.sum() == 1001
+
+
 def test_missing_rate_is_config_error(workspace):
     root, trace = workspace
     code = run_cli("--trace", trace, "--manifest", root / "x.json",
@@ -125,8 +152,10 @@ def test_missing_rate_is_config_error(workspace):
     ("retransmit", "--epsilon", 0),
     ("ooo", "--window-ms", -1),
     ("latency", "--time-unit", 0),
+    ("loss", "--sketch-epsilon", 0),
+    ("loss", "--sketch-epsilon", -0.1),
 ], ids=["report-epsilon", "k-threshold", "epsilon-ooo", "epsilon-retransmit",
-        "epsilon-zero", "window-ms", "time-unit"])
+        "epsilon-zero", "window-ms", "time-unit", "epsilon-sketch", "epsilon-sketch-negative"])
 def test_out_of_range_knob_is_config_error(workspace, capsys, detector, flag, value):
     _, trace = workspace
     assert run_cli("--trace", trace, "run", "--detector", detector, flag, value) == 2

@@ -1,5 +1,7 @@
 import numpy as np
+from hypothesis import example, given, strategies as st
 
+from flowsift.latency import TypeFilter
 from flowsift.oracle import (RtxStats, oracle_loss, oracle_ooo, oracle_rtt,
                              oracle_rtx, relevant_topk)
 from flowsift.packets import PacketRecord, PacketType, canonicalize
@@ -65,7 +67,7 @@ def test_ooo_window_expiry_resets():
 
 
 def test_ooo_matches_sequential_reference(rng):
-    # mixed gap pattern exercises both the vector and the looped branch
+    # mixed gap pattern: some flows restart their session, some never do
     records = []
     for fi in range(20):
         key = make_key(fi)
@@ -139,3 +141,122 @@ def test_ooo_is_order_sensitive():
     swapped = Trace.from_records([data_packet(key, s, t)
                                   for s, t in ((1, 0), (3, MS), (2, 2 * MS))])
     assert oracle_ooo(in_order) != oracle_ooo(swapped)
+
+
+# -- vector oracles against per-flow pure-Python references -----------------
+
+WINDOW = 10
+
+stream_st = st.lists(st.tuples(st.integers(0, 3),                 # flow
+                               st.sampled_from(list(PacketType)),
+                               st.booleans(),                      # sent by the receiver
+                               st.integers(0, 6),                  # seq
+                               st.integers(0, 2 * WINDOW),         # gap since the last packet
+                               st.integers(1, 1500)),              # size
+                     max_size=60)
+
+
+def build_stream(rows) -> list[PacketRecord]:
+    records, now = [], 0
+    for flow, ptype, back, seq, gap, size in rows:
+        now += gap
+        key = make_key(flow).reversed() if back else make_key(flow)
+        records.append(PacketRecord(key, ptype, seq, 0, now, size))
+    return records
+
+
+def data_flows(records) -> dict[bytes, list[PacketRecord]]:
+    flows: dict[bytes, list[PacketRecord]] = {}
+    for p in records:
+        if p.ptype == PacketType.DATA:
+            flows.setdefault(p.key.to_bytes(), []).append(p)
+    return flows
+
+
+def loss_reference(records) -> dict[bytes, int]:
+    out = {}
+    for key, packets in data_flows(records).items():
+        seqs = [p.seq for p in packets]
+        if max(seqs) - len(set(seqs)) > 0:
+            out[key] = max(seqs) - len(set(seqs))
+    return out
+
+
+def rtx_reference(records) -> dict[bytes, RtxStats]:
+    out = {}
+    for key, packets in data_flows(records).items():
+        n, d = len(packets), len({p.seq for p in packets})
+        out[key] = RtxStats(n, d, n / d)
+    return out
+
+
+def ooo_reference(records, window_ns: int, weight_mode: str) -> dict[bytes, int]:
+    """A packet counts when its id is at or below the flow's max id since
+    the last gap longer than the window; such a gap restarts the max."""
+    out = {}
+    for key, packets in data_flows(records).items():
+        total, top, last = 0, 0, None
+        for p in packets:
+            if last is None or p.ts - last > window_ns:
+                top = p.seq
+            elif p.seq <= top:
+                total += p.size if weight_mode == "bytes" else 1
+            else:
+                top = p.seq
+            last = p.ts
+        if total:
+            out[key] = total
+    return out
+
+
+def rtt_reference(records, type_filter, unit: int, epoch: int):
+    """Signed sum per canonical pair, and the FIFO-matched response-minus-request sum."""
+    signed: dict[bytes, int] = {}
+    requests: dict[bytes, list[int]] = {}
+    responses: dict[bytes, list[int]] = {}
+    for p in records:
+        if p.ptype not in type_filter.requests | type_filter.responses:
+            continue
+        pair = canonicalize(p.key)
+        key, t = pair.to_bytes(), (p.ts - epoch) // unit
+        signed[key] = signed.get(key, 0) + (t if pair.forward else -t)
+        side = responses if p.ptype in type_filter.responses else requests
+        side.setdefault(key, []).append(t)
+    matched = {}
+    for key in signed:
+        req, rsp = requests.get(key, []), responses.get(key, [])
+        n = min(len(req), len(rsp))
+        if sum(rsp[:n]) - sum(req[:n]):
+            matched[key] = sum(rsp[:n]) - sum(req[:n])
+    return {key: abs(v) for key, v in signed.items()}, matched
+
+
+@given(stream_st)
+@example([])
+def test_loss_and_rtx_match_per_flow_reference(rows):
+    records = build_stream(rows)
+    trace = Trace.from_records(records)
+    assert oracle_loss(trace) == loss_reference(records)
+    assert oracle_rtx(trace) == rtx_reference(records)
+
+
+@given(stream_st, st.sampled_from([0, WINDOW, 3 * WINDOW]),
+       st.sampled_from(["bytes", "packets"]))
+@example([], WINDOW, "bytes")
+def test_ooo_matches_per_flow_reference(rows, window_ns, weight_mode):
+    records = build_stream(rows)
+    got = oracle_ooo(Trace.from_records(records), window_ns, weight_mode)
+    assert got == ooo_reference(records, window_ns, weight_mode)
+
+
+@given(stream_st, st.sampled_from(["syn", "data", "all"]), st.integers(1, 7),
+       st.integers(0, 50))
+@example([], "all", 1, 0)
+def test_rtt_matches_per_pair_reference(rows, filter_name, unit, epoch):
+    records = build_stream(rows)
+    type_filter = TypeFilter.named(filter_name)
+    got = oracle_rtt(Trace.from_records(records), type_filter,
+                     time_unit_ns=unit, epoch_start_ns=epoch)
+    accumulated, matched = rtt_reference(records, type_filter, unit, epoch)
+    assert got.accumulated == accumulated
+    assert got.matched == matched

@@ -1,9 +1,13 @@
+import hashlib
+
+import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from flowsift.packets import (Epoch, FlowKey, PacketRecord, PacketType,
                               canonicalize, key_bytes)
-from flowsift.traceio import (Trace, load_trace, read_trace, read_trace_text,
-                              write_trace, write_trace_text)
+from flowsift.traceio import (RECORD_DTYPE, Trace, load_trace, read_trace,
+                              read_trace_text, write_trace, write_trace_text)
 
 from conftest import data_packet, make_key, random_keys
 
@@ -136,3 +140,29 @@ def test_key_matrices_of_strided_trace(small_trace):
         assert keys[i].tobytes() == key.to_bytes()
         assert matrix[i].tobytes() == canonicalize(key).to_bytes()
         assert bool(fwd[i]) == canonicalize(key).forward
+
+
+# ts, src, dst, sport, dport, ptype, seq over tiny ranges force ties at every
+# level; proto, ack and size tell fully tied records apart
+_SORT_COLUMNS = ("ts", "src", "dst", "sport", "dport", "ptype", "seq", "proto", "ack", "size")
+
+
+@given(st.lists(st.tuples(st.integers(0, 20), *(st.integers(0, 2) for _ in range(6)),
+                          st.integers(0, 255), st.integers(0, 9), st.integers(0, 9)),
+                max_size=40),
+       st.lists(st.integers(0, 39), max_size=8))
+def test_time_sorted_matches_seven_column_lexsort(rows, duplicates):
+    arr = np.zeros(len(rows), dtype=RECORD_DTYPE)
+    for col, values in zip(_SORT_COLUMNS, np.array(rows, dtype=np.int64).reshape(-1, 10).T):
+        arr[col] = values
+    arr = np.concatenate([arr, arr[[i for i in duplicates if i < len(arr)]]])
+    reference = arr[np.lexsort((arr["seq"], arr["ptype"], arr["dport"], arr["sport"],
+                                arr["dst"], arr["src"], arr["ts"]))]
+    assert Trace(arr).time_sorted().arr.tobytes() == reference.tobytes()
+
+
+def test_sha256_is_digest_of_file_bytes(tmp_path, small_trace):
+    for trace in (small_trace, small_trace.select(slice(None, None, 2)), Trace.empty()):
+        path = tmp_path / "t.lmt"
+        write_trace(trace, path)
+        assert trace.sha256() == hashlib.sha256(path.read_bytes()).hexdigest()
