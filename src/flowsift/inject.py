@@ -16,13 +16,11 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .oracle import flow_groups, oracle_ooo
-from .packets import PacketType
-from .traceio import Trace
+from .packets import KEY_BYTES, FlowKey, PacketType
+from .traceio import KEY_VOID, Trace
 
 REORDER_DELAY_NS = 5_000_000
 DUPLICATE_JITTER_NS = 1_000_000
-
-_KEY_VOID = np.dtype((np.void, 13))
 
 
 @dataclass(frozen=True)
@@ -74,25 +72,24 @@ def select_victims(trace: Trace, plan: InjectionPlan) -> list[bytes]:
     return [keys[i].tobytes() for i in sorted(picks)]
 
 
-def _key_view(trace: Trace) -> np.ndarray:
-    rows = trace.key_matrix()
-    return np.ascontiguousarray(rows).view(_KEY_VOID).ravel()
+def _victim_index(trace: Trace, victims: list[bytes]) -> np.ndarray:
+    """Per-record victim index, -1 where the record's key is not a victim.
 
-
-def _reverse_key_view(arr: np.ndarray) -> np.ndarray:
-    rev = arr.copy()
-    rev["src"], rev["dst"] = arr["dst"], arr["src"]
-    rev["sport"], rev["dport"] = arr["dport"], arr["sport"]
-    return _key_view(Trace(rev))
-
-
-def _victim_index(view: np.ndarray, victims: list[bytes]) -> np.ndarray:
-    """Per-record victim index, -1 where the key is not a victim."""
-    victim_view = np.frombuffer(b"".join(victims), dtype=_KEY_VOID)
+    A table lookup on the first two key bytes narrows the records to
+    candidates, and only those are matched on all 13 bytes.
+    """
+    keys = trace.key_matrix()
+    victim_keys = np.frombuffer(b"".join(victims), dtype=np.uint8).reshape(-1, KEY_BYTES)
+    prefix = np.ascontiguousarray(keys[:, :2]).view(np.uint16).ravel()
+    candidates = np.flatnonzero(np.isin(
+        prefix, np.ascontiguousarray(victim_keys[:, :2]).view(np.uint16), kind="table"))
+    view = keys[candidates].view(KEY_VOID).ravel()
+    victim_view = victim_keys.view(KEY_VOID).ravel()
     order = np.argsort(victim_view)
     pos = np.clip(np.searchsorted(victim_view[order], view), 0, len(victims) - 1)
-    idx = order[pos].astype(np.int64)
-    idx[victim_view[order][pos] != view] = -1
+    hit = victim_view[order][pos] == view
+    idx = np.full(len(trace), -1, dtype=np.int64)
+    idx[candidates[hit]] = order[pos[hit]]
     return idx
 
 
@@ -121,9 +118,10 @@ def inject_latency(trace: Trace, plan: InjectionPlan) -> tuple[Trace, dict]:
         delays = rng.integers(int(plan.magnitude), int(plan.magnitude_high) + 1,
                               len(victims), dtype=np.int64)
 
-    # a response's reversed key is its victim's data-direction key
+    # a response's key is its victim's data-direction key reversed
+    victim_idx = _victim_index(
+        trace, [FlowKey.from_bytes(v).reversed().to_bytes() for v in victims])
     arr = trace.arr.copy()
-    victim_idx = _victim_index(_reverse_key_view(arr), victims)
     is_resp = np.isin(arr["ptype"], [int(PacketType.ACK), int(PacketType.SYNACK)])
     shift = (victim_idx >= 0) & is_resp
     arr["ts"][shift] = arr["ts"][shift] + delays[victim_idx[shift]].astype(np.uint64)
@@ -140,7 +138,7 @@ def _sample_victim_data(trace: Trace, plan: InjectionPlan):
     plan.validate()
     victims = select_victims(trace, plan)
     rng = np.random.default_rng(plan.seed + 1)
-    victim_idx = _victim_index(_key_view(trace), victims)
+    victim_idx = _victim_index(trace, victims)
     sampled = (victim_idx >= 0) & (trace.ptype == int(PacketType.DATA)) \
         & (rng.random(len(trace)) < plan.magnitude)
     return victims, victim_idx, sampled

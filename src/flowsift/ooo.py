@@ -3,12 +3,14 @@
 A packet is out of order when its id is at or below the flow's highest
 seen id and the flow was active within the recency window (default
 3 ms). Per-flow state (max id, last packet time) lives in a bounded
-two-way cuckoo cache; an unbounded dict mode backs oracle-style tests.
-Each live entry also stores the slot it holds and its alternate slot,
-hashed once per batch: expiry frees exactly that slot, a dropped key
-holds none, and a kick moves an occupant to its stored alternate without re-hashing. The
-cache's one per-packet loop needs DATA timestamps in non-decreasing
-order and raises ValueError on a timestamp that goes back.
+two-way cuckoo cache. Each entry sits in its slot together with its key
+and alternate slot, hashed once per batch, so a kick moves an occupant
+to its stored alternate without re-hashing. Expiry is lazy, as in a
+switch register array: no timer or queue removes a stale entry; a read
+compares its last time with the window, treats it as absent, and the
+slot is overwritten. The cache's one per-packet loop needs DATA
+timestamps in non-decreasing order and raises ValueError on a
+timestamp that goes back.
 Qualifying packets feed a weighted frequent-items table with 1/eps
 slots, so any flow holding more than an eps fraction of the total
 out-of-order weight is guaranteed a slot at stream end, and every slot
@@ -22,14 +24,12 @@ weights nonnegative while preserving both guarantees above.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from itertools import repeat
 
 from . import hashing
-from .packets import KEY_BYTES, PacketType
+from .packets import PacketType
 from .reports import HeavyReport
-from .traceio import Trace, check_time_order
+from .traceio import KEY_VOID, Trace, check_time_order
 
 # Accounting per entry/slot, in bytes: key plus the stated payload.
 CACHE_ENTRY_BYTES = 13 + 8 + 8   # key, max_seq, last_ts
@@ -40,15 +40,19 @@ class RecencyCache:
     """Bounded map flow key -> (max seq, last packet ts) within a window.
 
     Two-way cuckoo layout: each key has one candidate slot in each half
-    of the slot array, both hashed once per batch. A live entry is
-    stored as ``[max_seq, last_ts, slot, alternate]``: the slot it holds
-    and its other candidate. Expiry clears exactly that slot and a
-    dropped key holds none, so a slot is occupied only by a live key. A new key takes a free
-    candidate, else kicks occupants to their stored alternates along a
-    chain of at most ``_MAX_KICKS`` moves, and whichever key is still
-    displaced at the end is dropped (counted in ``dropped``).
-    ``exact=True`` swaps in an unbounded dict with identical semantics
-    for oracle-style tests.
+    of the slot array, both hashed once per batch. An entry lives in its
+    slot as ``[key, max_seq, last_ts, alternate]``, its other candidate
+    stored beside it, and ``_index`` maps each key to the slot it holds.
+    Expiry is lazy, as in a switch register array: an entry is stale
+    once ``last_ts < ts - window_ns`` at the packet being processed, and
+    every read (the key lookup, the free-slot check, each step of a kick
+    chain) treats a stale entry as absent; it is unlinked when its key
+    arrives again or its slot is taken. Staleness only grows with time,
+    so this keeps exactly the entries that expiring every stale one
+    before each packet would keep. A new key takes a free candidate,
+    else kicks occupants to their stored alternates along a chain of at
+    most ``_MAX_KICKS`` moves, and whichever key is still displaced at
+    the end is dropped (counted in ``dropped``).
 
     ``observe`` is the only way in, and it needs DATA timestamps in
     non-decreasing order, within a batch and across batches.
@@ -57,30 +61,22 @@ class RecencyCache:
     _MAX_KICKS = 8
 
     def __init__(self, capacity: int = 1 << 16, window_ns: int = 3_000_000,
-                 *, run_seed: int = 0, exact: bool = False):
+                 *, run_seed: int = 0):
+        if capacity < 2:
+            raise ValueError("capacity must be >= 2")
+        self.capacity = capacity
         self.window_ns = window_ns
-        self.exact = exact
         self.dropped = 0
-        self._entries: dict[bytes, list] = {}
-        self._expiry: deque[tuple[int, bytes]] = deque()
-        if not exact:
-            if capacity < 2:
-                raise ValueError("capacity must be >= 2")
-            self.capacity = capacity
-            self._h1 = hashing.derive_hash_pair(run_seed, 0, hashing.STREAM_CACHE)
-            self._h2 = hashing.derive_hash_pair(run_seed, 1, hashing.STREAM_CACHE)
-            self._half = capacity // 2
-            self._slots: list[bytes | None] = [None] * capacity
+        self._h1 = hashing.derive_hash_pair(run_seed, 0, hashing.STREAM_CACHE)
+        self._h2 = hashing.derive_hash_pair(run_seed, 1, hashing.STREAM_CACHE)
+        self._half = capacity // 2
+        self._slots: list[list | None] = [None] * capacity
+        self._index: dict[bytes, int] = {}
+        self._last_ts = 0       # the latest DATA timestamp seen
 
     def __len__(self) -> int:
-        return len(self._entries)
-
-    def get(self, key: bytes, now_ns: int) -> "tuple[int, int] | None":
-        """Entry for key, or None if absent or stale at time now_ns."""
-        entry = self._entries.get(key)
-        if entry is None or now_ns - entry[1] > self.window_ns:
-            return None
-        return entry[0], entry[1]
+        """Entries live at the latest timestamp seen."""
+        return len(self.active_flows())
 
     def observe(self, data: Trace) -> list[int]:
         """Feed a batch of DATA records; return the indices of the
@@ -92,75 +88,63 @@ class RecencyCache:
         if len(data) == 0:
             return []
         stamps = data.ts
-        check_time_order(stamps, self._expiry[-1][0] if self._expiry else 0,
-                         "out-of-order detection")
+        check_time_order(stamps, self._last_ts, "out-of-order detection")
+        self._last_ts = int(stamps[-1])
         keys = data.key_matrix()
-        if self.exact:
-            first = second = repeat(None)
-        else:
-            folds = hashing.fold64_matrix(keys)
-            first = hashing.bucket_batch(self._h1, folds, self._half).tolist()
-            second = (self._half
-                      + hashing.bucket_batch(self._h2, folds, self._half)).tolist()
-        blob = keys.tobytes()
-        entries, expiry = self._entries, self._expiry
+        folds = hashing.fold64_matrix(keys)
+        first = hashing.bucket_batch(self._h1, folds, self._half).tolist()
+        second = (self._half + hashing.bucket_batch(self._h2, folds, self._half)).tolist()
+        window, slots, index = self.window_ns, self._slots, self._index
         late = []
-        for i, (ts, seq, slot, alternate) in enumerate(
-                zip(stamps.tolist(), data.seq.tolist(), first, second)):
-            self.expire(ts)     # afterwards every remaining entry is fresh
-            key = blob[i * KEY_BYTES:(i + 1) * KEY_BYTES]
-            entry = entries.get(key)
-            if entry is None:
-                self._insert(key, [seq, ts, slot, alternate])
-            else:
-                if seq <= entry[0]:
-                    late.append(i)
-                else:
-                    entry[0] = seq
-                entry[1] = ts
-            expiry.append((ts, key))
+        for i, (key, ts, seq, slot, alternate) in enumerate(zip(
+                keys.view(KEY_VOID).ravel().tolist(), stamps.tolist(),
+                data.seq.tolist(), first, second)):
+            cutoff = ts - window
+            held = index.get(key)
+            if held is not None:
+                entry = slots[held]
+                if entry[2] >= cutoff:
+                    if seq <= entry[1]:
+                        late.append(i)
+                    else:
+                        entry[1] = seq
+                    entry[2] = ts
+                    continue
+                slots[held] = None      # stale: the key arrives as new
+            self._insert([key, seq, ts, alternate], slot, cutoff)
         return late
 
-    def _insert(self, key: bytes, entry: list) -> None:
-        """Register a new key; in the bounded layout, claim a slot for it,
-        kicking occupants to their stored alternates. Whatever key is still
-        displaced when the chain ends is dropped (possibly the new key)."""
-        entries = self._entries
-        entries[key] = entry
-        if self.exact:
-            return
-        slots = self._slots
-        if slots[entry[2]] is not None and slots[entry[3]] is None:
-            entry[2], entry[3] = entry[3], entry[2]
+    def _insert(self, entry: list, slot: int, cutoff: int) -> None:
+        """Claim a slot for a new entry, kicking occupants to their stored
+        alternates; an occupant last seen before ``cutoff`` is stale and
+        its slot free. Whatever key is still displaced when the chain ends
+        is dropped (possibly the new key)."""
+        slots, index = self._slots, self._index
+        occupant, other = slots[slot], slots[entry[3]]
+        if (occupant is not None and occupant[2] >= cutoff
+                and (other is None or other[2] < cutoff)):
+            slot, entry[3] = entry[3], slot
         for _ in range(self._MAX_KICKS):
-            key, slots[entry[2]] = slots[entry[2]], key
-            if key is None:
+            occupant, slots[slot] = slots[slot], entry
+            index[entry[0]] = slot
+            if occupant is None:
                 return
-            entry = entries[key]
-            entry[2], entry[3] = entry[3], entry[2]
-        del entries[key]
+            if occupant[2] < cutoff:
+                del index[occupant[0]]
+                return
+            entry = occupant
+            slot, entry[3] = entry[3], slot
+        del index[entry[0]]
         self.dropped += 1
 
-    def expire(self, now_ns: int) -> None:
-        """Drop entries whose last packet is older than the window and
-        free their slots."""
-        cutoff = now_ns - self.window_ns
-        expiry = self._expiry
-        entries = self._entries
-        while expiry and expiry[0][0] < cutoff:
-            ts, key = expiry.popleft()
-            entry = entries.get(key)
-            if entry is not None and entry[1] == ts:
-                del entries[key]
-                if not self.exact:
-                    self._slots[entry[2]] = None
-
     def active_flows(self) -> dict[bytes, tuple[int, int]]:
-        return {key: (entry[0], entry[1]) for key, entry in self._entries.items()}
+        """Live entries at the latest timestamp seen: key -> (max seq, last ts)."""
+        cutoff = self._last_ts - self.window_ns
+        return {entry[0]: (entry[1], entry[2]) for entry in self._slots
+                if entry is not None and entry[2] >= cutoff}
 
     def memory_bytes(self) -> int:
-        count = len(self._entries) if self.exact else self.capacity
-        return count * CACHE_ENTRY_BYTES
+        return self.capacity * CACHE_ENTRY_BYTES
 
 
 class TopTable:
@@ -218,13 +202,12 @@ class OooDetector:
     window_ns: int = 3_000_000
     weight_mode: str = "bytes"     # or "packets"
     run_seed: int = 0
-    exact_cache: bool = False
 
     def __post_init__(self) -> None:
         if self.weight_mode not in ("bytes", "packets"):
             raise ValueError(f"weight mode must be bytes or packets, got {self.weight_mode!r}")
         self.cache = RecencyCache(self.cache_capacity, self.window_ns,
-                                  run_seed=self.run_seed, exact=self.exact_cache)
+                                  run_seed=self.run_seed)
         self.table = TopTable(self.slots)
         self.skipped = 0
 
@@ -243,10 +226,9 @@ class OooDetector:
         self.skipped += len(trace) - len(data)
         late = data.select(self.cache.observe(data))
         weights = late.size.tolist() if self.weight_mode == "bytes" else [1] * len(late)
-        blob = late.key_matrix().tobytes()
         absorb = self.table.absorb
-        for i, weight in enumerate(weights):
-            absorb(blob[i * KEY_BYTES:(i + 1) * KEY_BYTES], weight)
+        for key, weight in zip(late.key_matrix().view(KEY_VOID).ravel().tolist(), weights):
+            absorb(key, weight)
 
     def topk(self, k: int) -> HeavyReport:
         entries = [(key, w) for key, w in self.table.occupied() if w > 0]

@@ -20,9 +20,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .packets import PacketType
-from .traceio import Trace
+from .traceio import KEY_VOID, Trace
 
-_KEY13 = np.dtype((np.void, 13))
 _KEY26 = np.dtype((np.void, 26))
 
 
@@ -59,7 +58,7 @@ def flow_groups(trace: Trace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     and ``keys`` are the flows' void-13 keys in ascending byte order.
     """
     data = np.flatnonzero(trace.ptype == int(PacketType.DATA))
-    view = np.ascontiguousarray(trace.key_matrix()[data]).view(_KEY13).ravel()
+    view = np.ascontiguousarray(trace.key_matrix()[data]).view(KEY_VOID).ravel()
     order, starts = _groups(view)
     return data[order], starts, view[order[starts]]
 

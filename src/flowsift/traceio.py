@@ -30,6 +30,8 @@ RECORD_DTYPE = np.dtype([
     ("ts", "<u8"), ("size", "<u4"),
 ])
 assert RECORD_DTYPE.itemsize == RECORD_BYTES
+# one flow key as a single comparable, sortable value; tolist() gives bytes
+KEY_VOID = np.dtype((np.void, KEY_BYTES))
 
 # Record byte columns of a flow key read in reverse: dst, src, dport, sport, proto.
 _REVERSED_KEY = np.r_[4:8, 0:4, 10:12, 8:10, 12]

@@ -127,10 +127,10 @@ def test_criterion_06_countsketch_contract():
 
 
 def test_criterion_07_misra_gries_determinism():
-    failures = 0
+    failures = drops = 0
     for trial in range(100):
         rng = np.random.default_rng(trial)
-        det = OooDetector(slots=8, exact_cache=True, weight_mode="packets")
+        det = OooDetector(slots=8, cache_capacity=1 << 16, weight_mode="packets")
         records = []
         for fi in range(int(rng.integers(10, 50))):
             key = make_key(fi)
@@ -144,6 +144,7 @@ def test_criterion_07_misra_gries_determinism():
         records.sort(key=lambda p: p.ts)
         for p in records:
             det.observe(p)
+        drops += det.cache.dropped
         truth = oracle_ooo(Trace.from_records(records), det.window_ns, "packets")
         total = sum(truth.values())
         slots = {k for k, _ in det.table.occupied()}
@@ -151,8 +152,9 @@ def test_criterion_07_misra_gries_determinism():
             if w > det.epsilon * total and key not in slots:
                 failures += 1
     report_line("7 misra-gries-determinism",
-                f"retention failures over 100 fuzzed traces: {failures} (==0)",
-                failures == 0)
+                f"retention failures over 100 fuzzed traces: {failures} (==0), "
+                f"cache drops: {drops} (==0)",
+                failures == 0 and drops == 0)
 
 
 def test_criterion_08_framework_recovery():

@@ -210,6 +210,22 @@ def test_checked_mode_reports_row_and_bucket():
         t.update(b"boom", 5)
 
 
+def test_checked_overflow_updates_every_row_before_raising():
+    t = CountSketchTable(3, 4, run_seed=1, checked=True)
+    t.update(b"calm", 3)
+    fold = hashing.fold64_keys([b"boom"])
+    buckets = [int(bucket_of_fold(rh, int(fold[0]), 4)) for rh in t.row_hashes]
+    signs = [int(sign_of_fold(sh, int(fold[0]))) for sh in t.sign_hashes]
+    t.counters[0, :] = signs[0] * ((1 << 62) - 2)   # row 0 overflows by 3
+    expected = t.counters.copy()
+    for j, (b, sign) in enumerate(zip(buckets, signs)):
+        expected[j, b] += sign * 5
+    with pytest.raises(OverflowError, match=f"row 0 bucket {buckets[0]}"):
+        t.update_batch(fold, np.array([5]))
+    assert (t.counters == expected).all()
+    assert t.total_l1 == 3
+
+
 def test_shape_from_epsilon_delta():
     t = CountSketchTable.from_epsilon_delta(0.067, 1 / 32)
     assert t.buckets == int(np.ceil(9 / 0.067 ** 2))

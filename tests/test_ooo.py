@@ -1,6 +1,10 @@
+from collections import deque
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+from flowsift import hashing
 from flowsift.inject import InjectionPlan, inject_reorder
 from flowsift.ooo import OooDetector, RecencyCache, TopTable
 from flowsift.oracle import oracle_ooo
@@ -19,30 +23,34 @@ def observe_seqs(det, key, seq_ts_pairs, size=100):
 
 
 def test_monotone_sequence_records_nothing():
-    det = OooDetector(slots=8, exact_cache=True)
+    det = OooDetector(slots=8, cache_capacity=1 << 16)
     observe_seqs(det, make_key(0), [(s, s * 100_000) for s in (1, 2, 3, 4)])
+    assert det.cache.dropped == 0
     assert det.table.total_weight == 0
 
 
 def test_single_reorder_within_window_counts_once():
-    det = OooDetector(slots=8, exact_cache=True)
+    det = OooDetector(slots=8, cache_capacity=1 << 16)
     key = make_key(0)
     observe_seqs(det, key, [(1, 0), (3, MS), (2, 2 * MS)])
+    assert det.cache.dropped == 0
     assert det.table.weight(key.to_bytes()) == 100
 
 
 def test_late_arrival_after_window_resets_flow():
-    det = OooDetector(slots=8, exact_cache=True)
+    det = OooDetector(slots=8, cache_capacity=1 << 16)
     key = make_key(0)
     observe_seqs(det, key, [(1, 0), (3, MS), (2, 6 * MS)])   # 5 ms gap
+    assert det.cache.dropped == 0
     assert det.table.total_weight == 0
-    assert det.cache.get(key.to_bytes(), 6 * MS)[0] == 2
+    assert det.cache.active_flows() == {key.to_bytes(): (2, 6 * MS)}
 
 
 def test_duplicate_id_counts_as_out_of_order():
-    det = OooDetector(slots=8, exact_cache=True, weight_mode="packets")
+    det = OooDetector(slots=8, cache_capacity=1 << 16, weight_mode="packets")
     key = make_key(0)
     observe_seqs(det, key, [(1, 0), (2, MS), (2, 2 * MS)])
+    assert det.cache.dropped == 0
     assert det.table.weight(key.to_bytes()) == 1
 
 
@@ -61,12 +69,13 @@ def test_topk_empty_table():
 
 
 def test_single_flow_slot_weight_exact():
-    det = OooDetector(slots=10, exact_cache=True)
+    det = OooDetector(slots=10, cache_capacity=1 << 16)
     key = make_key(0)
     pairs, ts = [(1, 0)], MS // 100
     for i in range(50):                       # 50 reordered packets
         pairs += [(i + 2, (2 * i + 1) * ts), (1, (2 * i + 2) * ts)]
     observe_seqs(det, key, pairs, size=64)
+    assert det.cache.dropped == 0
     report = det.topk(1)
     assert report.entries[0] == (key.to_bytes(), 50 * 64.0)
 
@@ -75,7 +84,7 @@ def test_misra_gries_retention_fuzzed():
     # every flow above eps * P holds a slot at stream end, each trace
     for trial in range(30):
         rng = np.random.default_rng(trial)
-        det = OooDetector(slots=8, exact_cache=True, weight_mode="packets")
+        det = OooDetector(slots=8, cache_capacity=1 << 16, weight_mode="packets")
         truth = {}
         packets = []
         for fi in range(40):
@@ -89,6 +98,7 @@ def test_misra_gries_retention_fuzzed():
         packets.sort(key=lambda t: t[2])
         for key, seq, ts in packets:
             det.observe(data_packet(key, seq, ts, 1))
+        assert det.cache.dropped == 0, f"trial {trial}"
         weights = oracle_ooo(Trace.from_records(
             [data_packet(k, s, t, 1) for k, s, t in packets]), det.window_ns,
             "packets")
@@ -102,7 +112,7 @@ def test_misra_gries_retention_fuzzed():
 def test_slot_weights_never_overestimate():
     for trial in range(10):
         rng = np.random.default_rng(100 + trial)
-        det = OooDetector(slots=4, exact_cache=True, weight_mode="packets")
+        det = OooDetector(slots=4, cache_capacity=1 << 16, weight_mode="packets")
         records = []
         for fi in range(12):
             key = make_key(fi)
@@ -113,6 +123,7 @@ def test_slot_weights_never_overestimate():
         records.sort(key=lambda p: p.ts)
         for p in records:
             det.observe(p)
+        assert det.cache.dropped == 0, f"trial {trial}"
         weights = oracle_ooo(Trace.from_records(records), det.window_ns, "packets")
         for key, w in det.table.occupied():
             assert w <= weights.get(key, 0)
@@ -120,7 +131,7 @@ def test_slot_weights_never_overestimate():
 
 def test_unbounded_cache_matches_truth():
     rng = np.random.default_rng(7)
-    det = OooDetector(slots=16, exact_cache=True)
+    det = OooDetector(slots=16, cache_capacity=1 << 16)
     truth = {}
     now = 0
     for _ in range(2000):
@@ -135,7 +146,7 @@ def test_unbounded_cache_matches_truth():
             truth[kb] = (seq, now)
         else:
             truth[kb] = (max(prev[0], seq), now)
-    det.cache.expire(now)
+    assert det.cache.dropped == 0
     live = {k: v for k, v in truth.items() if now - v[1] <= det.window_ns}
     assert det.cache.active_flows() == live
 
@@ -146,6 +157,96 @@ def test_cuckoo_cache_drops_are_counted():
         [data_packet(make_key(i), 1, i) for i in range(64)]))
     assert cache.dropped > 0
     assert len(cache) <= 4
+
+
+class EagerCache:
+    """Reference: the same two-way cuckoo cache with eager expiry. A queue
+    of (ts, key) removes every entry last seen before ts - window, and
+    frees its slot, before each packet is looked up."""
+
+    _MAX_KICKS = 8
+
+    def __init__(self, capacity, window_ns, run_seed):
+        self.window_ns = window_ns
+        self.dropped = 0
+        self.entries = {}           # key -> [max_seq, last_ts, slot, alternate]
+        self.expiry = deque()
+        self.h1 = hashing.derive_hash_pair(run_seed, 0, hashing.STREAM_CACHE)
+        self.h2 = hashing.derive_hash_pair(run_seed, 1, hashing.STREAM_CACHE)
+        self.half = capacity // 2
+        self.slots = [None] * capacity
+
+    def observe(self, data):
+        keys = data.key_matrix()
+        folds = hashing.fold64_matrix(keys)
+        first = hashing.bucket_batch(self.h1, folds, self.half).tolist()
+        second = (self.half + hashing.bucket_batch(self.h2, folds, self.half)).tolist()
+        late = []
+        for i, (key, ts, seq, slot, alternate) in enumerate(zip(
+                [row.tobytes() for row in keys], data.ts.tolist(), data.seq.tolist(),
+                first, second)):
+            self.expire(ts)
+            entry = self.entries.get(key)
+            if entry is None:
+                self.insert(key, [seq, ts, slot, alternate])
+            else:
+                if seq <= entry[0]:
+                    late.append(i)
+                else:
+                    entry[0] = seq
+                entry[1] = ts
+            self.expiry.append((ts, key))
+        return late
+
+    def insert(self, key, entry):
+        entries, slots = self.entries, self.slots
+        entries[key] = entry
+        if slots[entry[2]] is not None and slots[entry[3]] is None:
+            entry[2], entry[3] = entry[3], entry[2]
+        for _ in range(self._MAX_KICKS):
+            key, slots[entry[2]] = slots[entry[2]], key
+            if key is None:
+                return
+            entry = entries[key]
+            entry[2], entry[3] = entry[3], entry[2]
+        del entries[key]
+        self.dropped += 1
+
+    def expire(self, now_ns):
+        cutoff = now_ns - self.window_ns
+        while self.expiry and self.expiry[0][0] < cutoff:
+            ts, key = self.expiry.popleft()
+            entry = self.entries.get(key)
+            if entry is not None and entry[1] == ts:
+                del self.entries[key]
+                self.slots[entry[2]] = None
+
+
+# (key index, id, gap to the previous packet): few keys and ids, and zero
+# gaps, so that hits, repeated ids, tied timestamps and expiries all occur
+packets_st = st.lists(st.tuples(st.integers(0, 11), st.integers(0, 6), st.integers(0, 15)),
+                      min_size=1, max_size=80)
+
+
+@given(packets_st, st.integers(2, 16), st.integers(0, 40), st.integers(0, 3),
+       st.lists(st.integers(1, 12), max_size=80))
+def test_lazy_expiry_matches_eager_reference(packets, capacity, window, run_seed, sizes):
+    records, ts = [], 0
+    for k, seq, gap in packets:
+        ts += gap
+        records.append(data_packet(make_key(k), seq, ts))
+    trace = Trace.from_records(records)
+    cache = RecencyCache(capacity, window, run_seed=run_seed)
+    reference = EagerCache(capacity, window, run_seed)
+    start = 0
+    for size in sizes + [len(trace)]:   # random batches, then the rest
+        batch = trace.select(np.arange(start, min(start + size, len(trace))))
+        start += len(batch)
+        assert cache.observe(batch) == reference.observe(batch)
+        assert cache.dropped == reference.dropped
+        assert len(cache) == len(reference.entries)
+        assert cache.active_flows() == {k: (e[0], e[1])
+                                        for k, e in reference.entries.items()}
 
 
 @pytest.fixture(scope="module")
