@@ -17,15 +17,11 @@ from .framework import FrameworkSketch, flow_id32_batch
 from .harness import (ConfigError, DataError, DetectorConfig, DETECTORS,
                       DEFAULT_BUDGETS_KB, median_recall, read_json,
                       run_experiment, sweep_memory, write_reports)
-from .inject import (InjectionPlan, inject_duplicate, inject_latency,
-                     inject_loss, inject_reorder)
+from .inject import INJECTORS, InjectionPlan
 from .packets import PacketType
 from .reporter import CandidateLog, controller_topk
-from .synth import SynthConfig, read_manifest, synthesize, write_manifest
+from .synth import SynthConfig, read_manifest, synthesize_to_file, write_manifest
 from .traceio import Trace, load_trace, write_trace
-
-_INJECTORS = {"latency": inject_latency, "loss": inject_loss,
-              "reorder": inject_reorder, "duplicate": inject_duplicate}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -48,7 +44,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="keep raw Zipf sizes instead of rounding up to even")
 
     inject = sub.add_parser("inject", help="inject one fault class into a trace")
-    inject.add_argument("--kind", choices=tuple(_INJECTORS), required=True)
+    inject.add_argument("--kind", choices=tuple(INJECTORS), required=True)
     inject.add_argument("--out", type=Path, required=True, help="injected trace path")
     inject.add_argument("--rate", type=float, help="loss/reorder/duplicate rate")
     inject.add_argument("--delay-ms", type=float, help="latency delay (fixed)")
@@ -78,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _add_run_args(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--detector", choices=DETECTORS + ("framework-count",),
+    sub.add_argument("--detector", choices=(*DETECTORS, "framework-count"),
                      required=True)
     sub.add_argument("-k", type=int, default=100)
     sub.add_argument("--rows", type=int, default=5)
@@ -149,11 +145,9 @@ def _cmd_synth(args) -> int:
                       bidirectional=not args.unidirectional,
                       duration_ns=args.duration_ms * 1_000_000,
                       even_flow_sizes=not args.odd_sizes, seed=args.seed)
-    trace, manifest = synthesize(cfg)
-    write_trace(trace, _require_trace(args))
-    if args.manifest:
-        write_manifest(manifest, args.manifest)
-    print(f"wrote {len(trace)} records to {args.trace} (sha256 {manifest['trace_sha256'][:12]}...)")
+    manifest = synthesize_to_file(cfg, _require_trace(args), args.manifest)
+    print(f"wrote {manifest['records']} records to {args.trace} "
+          f"(sha256 {manifest['trace_sha256'][:12]}...)")
     return 0
 
 
@@ -173,7 +167,7 @@ def _cmd_inject(args) -> int:
     plan = InjectionPlan(kind=args.kind, magnitude=magnitude, magnitude_high=high,
                          victims=args.victims, pool=args.pool, seed=args.seed)
     try:
-        out, manifest = _INJECTORS[args.kind](trace, plan)
+        out, manifest = INJECTORS[args.kind](trace, plan)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     write_trace(out, args.out)

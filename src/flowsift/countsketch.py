@@ -9,7 +9,7 @@ is counter-wise addition and exactly equals processing the concatenated
 stream.
 
 Every operation runs over a batch of prefolded keys; the per-key
-``update``, ``estimate`` and ``estimate_abs`` are batches of one.
+``update`` and ``estimate`` are batches of one.
 
 Counters are 64-bit even though the hardware analog used 32-bit ones:
 timestamp sums overflow 32 bits immediately. Memory budgets elsewhere
@@ -104,10 +104,6 @@ class CountSketchTable:
         of the two central values when the row count is even)."""
         return int(self.estimate_batch(hashing.fold64_keys([key]))[0])
 
-    def estimate_abs(self, key: bytes) -> int:
-        """Median over rows of the counter magnitudes."""
-        return int(self.estimate_abs_batch(hashing.fold64_keys([key]))[0])
-
     def _row_estimates_batch(self, folds: np.ndarray) -> np.ndarray:
         return np.array([signs * self.counters[j, idx]
                          for j, (idx, signs) in enumerate(self._cells(folds))])
@@ -116,20 +112,7 @@ class CountSketchTable:
         vals = np.sort(self._row_estimates_batch(folds), axis=0)
         return vals[(self.rows - 1) // 2]
 
-    def estimate_abs_batch(self, folds: np.ndarray) -> np.ndarray:
-        vals = np.sort(np.abs(self._row_estimates_batch(folds)), axis=0)
-        return vals[(self.rows - 1) // 2]
-
     # -- queries -------------------------------------------------------------
-
-    def heavy_keys(self, candidates, threshold: float) -> list[tuple[bytes, int]]:
-        """Candidates whose magnitude estimate reaches the threshold,
-        sorted descending; ties broken by key bytes ascending."""
-        keys = list(candidates)
-        scored = zip(keys, self.estimate_abs_batch(hashing.fold64_keys(keys)).tolist())
-        kept = [(k, e) for k, e in scored if e >= threshold]
-        kept.sort(key=lambda item: (-item[1], item[0]))
-        return kept
 
     def signed_magnitudes(self, keys: list[bytes]) -> list[tuple[bytes, int]]:
         """|signed-median estimate| for many equal-width keys at once."""

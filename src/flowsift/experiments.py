@@ -13,8 +13,7 @@ from __future__ import annotations
 from dataclasses import replace
 
 from .harness import DetectorConfig
-from .inject import (InjectionPlan, inject_duplicate, inject_latency,
-                     inject_loss, inject_reorder)
+from .inject import INJECTORS, InjectionPlan
 from .synth import SynthConfig, synthesize
 from .traceio import Trace
 
@@ -40,15 +39,11 @@ _PLANS = {
     "retransmit": InjectionPlan("duplicate", DUPLICATE_RATE, victims=100, pool=100),
 }
 
-_INJECTORS = {"latency": inject_latency, "loss": inject_loss,
-              "ooo": inject_reorder, "retransmit": inject_duplicate}
-
 _CONFIGS = {
     "latency": DetectorConfig("latency", report_epsilon=4e-7, type_filter="syn"),
     "loss": DetectorConfig("loss", report_epsilon=1e-5),
     "ooo": DetectorConfig("ooo"),
-    "retransmit": DetectorConfig("retransmit", epsilon=0.001, k_threshold=1.05,
-                                 registers=1024),
+    "retransmit": DetectorConfig("retransmit", epsilon=0.001, k_threshold=1.05),
 }
 
 
@@ -59,6 +54,6 @@ def desk_experiment(kind: str, trace_seed: int = 0,
         raise ValueError(f"unknown experiment kind {kind!r}")
     base, _ = synthesize(replace(_BASE_SYNTH, seed=trace_seed))
     plan = replace(_PLANS[kind], seed=trace_seed)
-    trace, manifest = _INJECTORS[kind](base, plan)
+    trace, manifest = INJECTORS[plan.kind](base, plan)
     cfg = replace(_CONFIGS[kind], seed=detector_seed)
     return trace, manifest, cfg

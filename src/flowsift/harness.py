@@ -1,17 +1,14 @@
 """Experiment harness: detectors vs. oracle over injected traces.
 
-Ties together synthesis, injection, streaming detection with the
-reporting gate, oracle comparison, and memory sweeps. Memory accounting
-follows the counter-array convention (budget = rows x buckets x 4-byte
-emulated counters; 40 kB with 5 rows means 2000 buckets per row);
-``extended_memory_bytes`` additionally counts caches, gates, and tracked-flow
+Ties together synthesis, injection, streaming detection, oracle
+comparison, and memory sweeps. Every class in ``DETECTORS`` is built by
+``from_config(cfg)`` and streams and ranks a trace in ``run(trace, k)``;
+``controller_inputs()`` is its candidate log and sketch snapshot, or
+``(None, None)``. Memory accounting follows the counter-array convention
+(budget = rows x buckets x 4-byte emulated counters; 40 kB with 5 rows
+means 2000 buckets per row); ``extended_memory_bytes`` is the detector's
+``memory_bytes()``, which also counts caches, gates, and tracked-flow
 state, and both figures land in the result rows.
-
-Streaming runs in chunks: sketch updates are exact, and the mirroring
-gate is evaluated once per chunk for the flows that carried a
-triggering packet in it. Each detector's batch call returns the keys
-and folds the gate needs, so the harness derives none itself. The Bloom
-gate is the only dedup, fed each chunk's crossing folds in one call.
 """
 
 from __future__ import annotations
@@ -23,21 +20,17 @@ from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from statistics import median
 
-import numpy as np
-
 from .latency import LatencyDetector, TypeFilter
 from .loss import LossDetector
-from .ooo import CACHE_ENTRY_BYTES, OooDetector, TOP_SLOT_BYTES
+from .ooo import OooDetector
 from .oracle import oracle_loss, oracle_ooo, oracle_rtt, oracle_rtx, relevant_topk
-from .packets import PacketType
-from .reporter import BloomGate, CandidateLog
+from .reporter import CandidateLog
 from .retransmit import RetransmitDetector
 from .traceio import Trace
 
-DETECTORS = ("latency", "loss", "ooo", "retransmit")
+DETECTORS = {"latency": LatencyDetector, "loss": LossDetector,
+             "ooo": OooDetector, "retransmit": RetransmitDetector}
 DEFAULT_BUDGETS_KB = (40, 80, 160, 320)
-CHUNK = 8192
-GATE_BITS = 1 << 20     # the mirroring gate's Bloom bits
 
 
 class ConfigError(ValueError):
@@ -46,23 +39,6 @@ class ConfigError(ValueError):
 
 class DataError(ValueError):
     """Inconsistent trace/manifest data (CLI exit code 3)."""
-
-
-def budget_to_buckets(budget_bytes: int, rows: int = 5) -> int:
-    """Counter-array budget to buckets per row, at 4 bytes per counter."""
-    buckets = budget_bytes // (rows * 4)
-    if buckets < 1:
-        raise ConfigError(f"budget {budget_bytes} B cannot fit {rows} rows")
-    return buckets
-
-
-def ooo_shape(budget_bytes: int) -> tuple[int, int]:
-    """Split an out-of-order budget: ~1/4 top-table slots, rest cache
-    (capacity rounded down to a power of two)."""
-    slots = max(1, budget_bytes // 4 // TOP_SLOT_BYTES)
-    cache_budget = budget_bytes - slots * TOP_SLOT_BYTES
-    capacity = 1 << max(1, (cache_budget // CACHE_ENTRY_BYTES).bit_length() - 1)
-    return slots, capacity
 
 
 @dataclass(frozen=True)
@@ -86,12 +62,19 @@ class DetectorConfig:
     # retransmit
     epsilon: float = 0.001
     k_threshold: float = 1.05
-    registers: int = 1024
+
+    @property
+    def buckets(self) -> int:
+        """Counter-array budget to buckets per row, at 4 bytes per counter."""
+        return self.budget_bytes // (self.rows * 4)
 
     def validate(self) -> None:
         if self.kind not in DETECTORS:
-            raise ConfigError(f"unknown detector {self.kind!r}; expected one of {DETECTORS}")
-        for bad, message in ((self.k < 1, "k must be >= 1"),
+            raise ConfigError(f"unknown detector {self.kind!r}; "
+                              f"expected one of {tuple(DETECTORS)}")
+        for bad, message in ((self.buckets < 1, f"budget {self.budget_bytes} B "
+                                                 f"cannot fit {self.rows} rows"),
+                             (self.k < 1, "k must be >= 1"),
                              (self.report_epsilon < 0, "report epsilon must be >= 0"),
                              (self.time_unit_ns < 1, "time unit must be >= 1 ns"),
                              (self.window_ns < 0, "window must be >= 0"),
@@ -144,27 +127,6 @@ def _score(returned: list[bytes], relevant: list[bytes]) -> tuple[float, float]:
     return recall, precision
 
 
-def _stream_sketch_with_gate(trace: Trace, detector, trigger_types,
-                             cfg: DetectorConfig) -> CandidateLog:
-    """Chunked streaming: update the sketch, then evaluate the mirroring
-    gate for flows that carried a trigger-type packet in the chunk."""
-    gate = BloomGate(GATE_BITS, run_seed=cfg.seed)
-    log = CandidateLog(seed_signature=detector.table.seed_signature())
-    trigger_codes = [int(t) for t in trigger_types]
-    for lo in range(0, len(trace), CHUNK):
-        sub = trace.select(slice(lo, lo + CHUNK))
-        admitted, keys, folds = detector.observe_batch(sub)
-        rows = np.flatnonzero(np.isin(sub.ptype[admitted], trigger_codes))
-        hot, first = np.unique(folds[rows], return_index=True)
-        estimates = np.abs(detector.table.estimate_batch(hot))
-        threshold = cfg.report_epsilon * detector.table.total_l1 / 2.0
-        crossing = np.flatnonzero(estimates >= threshold)
-        now = int(sub.ts[-1])
-        for i in crossing[gate.insert_folds(hot[crossing])].tolist():
-            log.entries.append((keys[rows[first[i]]].tobytes(), now, float(estimates[i])))
-    return log
-
-
 def compute_relevant(trace: Trace, cfg: DetectorConfig, k: int) -> list[bytes]:
     """Oracle top-k for a detector kind: the relevant set for scoring."""
     if cfg.kind == "latency":
@@ -197,43 +159,9 @@ def run_experiment(trace: Trace, manifest: dict, cfg: DetectorConfig,
         relevant = compute_relevant(trace, cfg, k)
 
     start = time.perf_counter()
-    buckets = budget_to_buckets(cfg.budget_bytes, cfg.rows)
-    candidates: "CandidateLog | None" = None
-    snapshot: "bytes | None" = None
-
-    if cfg.kind == "latency":
-        det = LatencyDetector(buckets=buckets, rows=cfg.rows, run_seed=cfg.seed,
-                              type_filter=TypeFilter.named(cfg.type_filter),
-                              time_unit_ns=cfg.time_unit_ns)
-        candidates = _stream_sketch_with_gate(
-            trace, det, det.type_filter.responses, cfg)
-        report = det.topk(candidates.keys(), k, epsilon=0.0)
-        snapshot = det.table.to_bytes()
-        extended_total = cfg.budget_bytes + GATE_BITS // 8
-    elif cfg.kind == "loss":
-        det = LossDetector(buckets=buckets, rows=cfg.rows, run_seed=cfg.seed)
-        candidates = _stream_sketch_with_gate(trace, det, (PacketType.DATA,), cfg)
-        report = det.topk(candidates.keys(), k, epsilon=0.0)
-        snapshot = det.table.to_bytes()
-        extended_total = cfg.budget_bytes + GATE_BITS // 8
-    elif cfg.kind == "ooo":
-        slots, capacity = ooo_shape(cfg.budget_bytes)
-        slots = cfg.ooo_slots or slots
-        capacity = cfg.cache_capacity or capacity
-        det = OooDetector(slots=slots, cache_capacity=capacity,
-                          window_ns=cfg.window_ns, weight_mode=cfg.weight_mode,
-                          run_seed=cfg.seed)
-        det.observe_trace(trace)
-        report = det.topk(k)
-        extended_total = det.memory_bytes()
-    else:
-        det = RetransmitDetector(buckets=buckets, rows=cfg.rows, run_seed=cfg.seed,
-                                 epsilon=cfg.epsilon, registers=cfg.registers)
-        det.observe_trace(trace)
-        report = det.report(cfg.k_threshold)
-        report.entries = report.entries[:k]
-        extended_total = det.memory_bytes()
-
+    det = DETECTORS[cfg.kind].from_config(cfg)
+    report = det.run(trace, k)
+    candidates, snapshot = det.controller_inputs()
     runtime = time.perf_counter() - start
     returned = report.keys()
     recall, precision = _score(returned, relevant)
@@ -243,7 +171,7 @@ def run_experiment(trace: Trace, manifest: dict, cfg: DetectorConfig,
         seed=cfg.seed, recall=recall, precision=precision,
         runtime_ms=runtime * 1000.0,
         packets_per_sec=len(trace) / runtime if runtime > 0 else 0.0,
-        extended_memory_bytes=extended_total,
+        extended_memory_bytes=det.memory_bytes(),
     )
     return RunArtifacts(result, returned, relevant, candidates, snapshot)
 

@@ -40,7 +40,7 @@ class InjectionPlan:
     seed: int = 0
 
     def validate(self) -> None:
-        if self.kind not in ("latency", "loss", "reorder", "duplicate"):
+        if self.kind not in INJECTORS:
             raise ValueError(f"unknown fault kind {self.kind!r}")
         if self.kind == "latency":
             if self.magnitude < 0:
@@ -174,3 +174,7 @@ def inject_duplicate(trace: Trace, plan: InjectionPlan,
     out = Trace(np.concatenate([trace.arr, copies])).time_sorted()
     return out, _manifest(plan, out, victims, [plan.magnitude] * len(victims),
                           np.bincount(victim_idx[sampled], minlength=len(victims)))
+
+
+INJECTORS = {"latency": inject_latency, "loss": inject_loss,
+             "reorder": inject_reorder, "duplicate": inject_duplicate}

@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import hashing
-from .countsketch import CountSketchTable
 from .packets import CanonicalPair, FlowKey, PacketType, canonicalize
+from .reporter import GatedSketchDetector
 from .reports import HeavyReport
 from .traceio import Trace
 
@@ -54,36 +54,29 @@ class TypeFilter:
 
 
 @dataclass
-class LatencyDetector:
+class LatencyDetector(GatedSketchDetector):
     """Signed-timestamp sketch over canonical flow pairs.
 
     time_unit_ns scales timestamps into counter units (default 1 us,
     which keeps minute-long epochs inside 63-bit sums); timestamps are
-    made epoch-relative before scaling.
+    made epoch-relative before scaling. The gate evaluates flows that
+    carried a response.
     """
 
-    buckets: int = 2000
-    rows: int = 5
-    run_seed: int = 0
     type_filter: TypeFilter = field(default_factory=TypeFilter.syn_handshake)
     time_unit_ns: int = 1000
     epoch_start_ns: int = 0
-    table: CountSketchTable = None
 
-    def __post_init__(self) -> None:
-        if self.table is None:
-            self.table = CountSketchTable(self.rows, self.buckets, run_seed=self.run_seed)
-        else:
-            self.rows, self.buckets = self.table.rows, self.table.buckets
-        self.skipped = 0
+    @classmethod
+    def from_config(cls, cfg) -> "LatencyDetector":
+        return cls(buckets=cfg.buckets, rows=cfg.rows, run_seed=cfg.seed,
+                   report_epsilon=cfg.report_epsilon,
+                   type_filter=TypeFilter.named(cfg.type_filter),
+                   time_unit_ns=cfg.time_unit_ns)
 
     @property
-    def epsilon(self) -> float:
-        return self.table.epsilon
-
-    def observe(self, packet) -> None:
-        """One packet, as a trace of one."""
-        self.observe_batch(Trace.from_records([packet]))
+    def trigger_types(self) -> frozenset:
+        return self.type_filter.responses
 
     def observe_batch(self, trace: Trace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Update the sketch with every admitted packet of the trace.
@@ -109,15 +102,6 @@ class LatencyDetector:
     def estimate(self, key: "FlowKey | CanonicalPair | bytes") -> int:
         return self.table.estimate(_pair_bytes(key))
 
-    def estimate_abs(self, key: "FlowKey | CanonicalPair | bytes") -> int:
-        return self.table.estimate_abs(_pair_bytes(key))
-
-    def threshold(self, epsilon: "float | None" = None) -> float:
-        """eps * total_l1 / 2: total_l1 counts both directions, the
-        round-trip total is taken as half."""
-        eps = self.epsilon if epsilon is None else epsilon
-        return eps * self.table.total_l1 / 2.0
-
     def topk(self, candidates, k: int, epsilon: "float | None" = None) -> HeavyReport:
         """Top-k candidates at/above the threshold.
 
@@ -125,7 +109,9 @@ class LatencyDetector:
         mass entering a flow's buckets carries incoherent signs and
         cancels there, where a median over row magnitudes would keep it.
         """
-        thr = self.threshold(epsilon)
+        # eps * total_l1 / 2: total_l1 counts both directions, the
+        # round-trip total is taken as half
+        thr = (self.epsilon if epsilon is None else epsilon) * self.table.total_l1 / 2.0
         scored = self.table.signed_magnitudes([_pair_bytes(c) for c in candidates])
         scored = [(key, float(v)) for key, v in scored if v >= thr]
         scored.sort(key=lambda item: (-item[1], item[0]))

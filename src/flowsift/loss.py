@@ -22,37 +22,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hashing
-from .countsketch import CountSketchTable
 from .packets import FlowKey, PacketType
+from .reporter import GatedSketchDetector
 from .reports import HeavyReport
 from .traceio import Trace
 
 
 @dataclass
-class LossDetector:
-    """Paired-id +/-1 sketch over data-direction flow keys."""
+class LossDetector(GatedSketchDetector):
+    """Paired-id +/-1 sketch over data-direction flow keys; the gate
+    evaluates flows that carried DATA."""
 
-    buckets: int = 2000
-    rows: int = 5
-    run_seed: int = 0
-    table: CountSketchTable = None
+    trigger_types = (PacketType.DATA,)
 
     def __post_init__(self) -> None:
-        if self.table is None:
-            self.table = CountSketchTable(self.rows, self.buckets, run_seed=self.run_seed)
-        else:
-            self.rows, self.buckets = self.table.rows, self.table.buckets
+        super().__post_init__()
         self.pair_sign_hash = hashing.derive_hash_pair(
             self.run_seed, 0, hashing.STREAM_PAIR_SIGN)
-        self.skipped = 0
-
-    @property
-    def epsilon(self) -> float:
-        return self.table.epsilon
-
-    def observe(self, packet) -> None:
-        """One packet, as a trace of one."""
-        self.observe_batch(Trace.from_records([packet]))
 
     def observe_batch(self, trace: Trace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Update the sketch with every DATA record of the trace.
@@ -75,9 +61,6 @@ class LossDetector:
 
     def estimate(self, key: "FlowKey | bytes") -> int:
         return self.table.estimate(_key_bytes(key))
-
-    def estimate_abs(self, key: "FlowKey | bytes") -> int:
-        return self.table.estimate_abs(_key_bytes(key))
 
     def topk(self, candidates, k: int, epsilon: "float | None" = None) -> HeavyReport:
         """Top-k by walk magnitude; the report carries the sum of the

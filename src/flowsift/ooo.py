@@ -36,6 +36,15 @@ CACHE_ENTRY_BYTES = 13 + 8 + 8   # key, max_seq, last_ts
 TOP_SLOT_BYTES = 13 + 8          # key, weight
 
 
+def ooo_shape(budget_bytes: int) -> tuple[int, int]:
+    """Split an out-of-order budget: ~1/4 top-table slots, rest cache
+    (capacity rounded down to a power of two)."""
+    slots = max(1, budget_bytes // 4 // TOP_SLOT_BYTES)
+    cache_budget = budget_bytes - slots * TOP_SLOT_BYTES
+    capacity = 1 << max(1, (cache_budget // CACHE_ENTRY_BYTES).bit_length() - 1)
+    return slots, capacity
+
+
 class RecencyCache:
     """Bounded map flow key -> (max seq, last packet ts) within a window.
 
@@ -211,6 +220,15 @@ class OooDetector:
         self.table = TopTable(self.slots)
         self.skipped = 0
 
+    @classmethod
+    def from_config(cls, cfg) -> "OooDetector":
+        """The ``ooo_shape`` budget split, unless the config overrides it."""
+        slots, capacity = ooo_shape(cfg.budget_bytes)
+        return cls(slots=cfg.ooo_slots or slots,
+                   cache_capacity=cfg.cache_capacity or capacity,
+                   window_ns=cfg.window_ns, weight_mode=cfg.weight_mode,
+                   run_seed=cfg.seed)
+
     @property
     def epsilon(self) -> float:
         return 1.0 / self.slots
@@ -236,6 +254,13 @@ class OooDetector:
         entries = [(key, float(w)) for key, w in entries[:k]]
         return HeavyReport("ooo", entries, total=float(self.table.total_weight),
                            threshold=self.epsilon * self.table.total_weight)
+
+    def run(self, trace: Trace, k: int) -> HeavyReport:
+        self.observe_trace(trace)
+        return self.topk(k)
+
+    def controller_inputs(self) -> tuple[None, None]:
+        return None, None       # no controller re-rank: the report is final
 
     def memory_bytes(self) -> int:
         return self.table.memory_bytes() + self.cache.memory_bytes()

@@ -9,6 +9,11 @@ report and therefore lose that key; they never duplicate.
 
 The Bloom gate takes a batch of prefolded keys (``insert_folds``); the
 per-key ``insert``, ``in`` and ``maybe_report`` are batches of one.
+
+``GatedSketchDetector``, the latency and loss detectors' base, is a
+sketch plus the gate, streamed in chunks: sketch updates are exact, and
+the gate, the only dedup, is fed once per chunk the flows that carried a
+triggering packet in it.
 """
 
 from __future__ import annotations
@@ -22,6 +27,10 @@ import numpy as np
 from . import hashing
 from .countsketch import CountSketchTable
 from .reports import HeavyReport
+from .traceio import Trace
+
+CHUNK = 8192            # records per gate evaluation
+GATE_BITS = 1 << 20     # the mirroring gate's Bloom bits
 
 
 class BloomGate:
@@ -151,3 +160,66 @@ def controller_topk(snapshot: "bytes | CountSketchTable", log: CandidateLog,
     scored = [(key, float(v)) for key, v in table.signed_magnitudes(log.keys())]
     scored.sort(key=lambda item: (-item[1], item[0]))
     return HeavyReport("controller", scored[:k], total=float(table.total_l1))
+
+
+@dataclass
+class GatedSketchDetector:
+    """A count-sketch detector and its mirroring gate: one fixed-memory unit.
+
+    Subclasses define ``observe_batch(trace) -> (admitted mask, key matrix,
+    folds)``, ``trigger_types`` and ``topk(candidates, k, epsilon)``. A flow
+    is mirrored into ``candidates`` the first time a chunk holding one of
+    its trigger-type packets ends with its |estimate| at or above
+    ``report_epsilon`` times half the running total.
+    """
+
+    buckets: int = 2000
+    rows: int = 5
+    run_seed: int = 0
+    report_epsilon: float = 0.0
+
+    def __post_init__(self) -> None:
+        self.table = CountSketchTable(self.rows, self.buckets, run_seed=self.run_seed)
+        self.gate = BloomGate(GATE_BITS, run_seed=self.run_seed)
+        self.candidates = CandidateLog(seed_signature=self.table.seed_signature())
+        self.skipped = 0
+
+    @classmethod
+    def from_config(cls, cfg) -> "GatedSketchDetector":
+        """Build from a ``harness.DetectorConfig``."""
+        return cls(buckets=cfg.buckets, rows=cfg.rows, run_seed=cfg.seed,
+                   report_epsilon=cfg.report_epsilon)
+
+    @property
+    def epsilon(self) -> float:
+        return self.table.epsilon
+
+    def observe(self, packet) -> None:
+        """One packet, as a trace of one."""
+        self.observe_batch(Trace.from_records([packet]))
+
+    def run(self, trace: Trace, k: int) -> HeavyReport:
+        """Stream the trace chunk by chunk through the sketch and the gate,
+        then rank the mirrored keys."""
+        trigger_codes = [int(t) for t in self.trigger_types]
+        for lo in range(0, len(trace), CHUNK):
+            sub = trace.select(slice(lo, lo + CHUNK))
+            admitted, keys, folds = self.observe_batch(sub)
+            rows = np.flatnonzero(np.isin(sub.ptype[admitted], trigger_codes))
+            hot, first = np.unique(folds[rows], return_index=True)
+            estimates = np.abs(self.table.estimate_batch(hot))
+            threshold = self.report_epsilon * self.table.total_l1 / 2.0
+            crossing = np.flatnonzero(estimates >= threshold)
+            now = int(sub.ts[-1])
+            for i in crossing[self.gate.insert_folds(hot[crossing])].tolist():
+                self.candidates.entries.append(
+                    (keys[rows[first[i]]].tobytes(), now, float(estimates[i])))
+        return self.topk(self.candidates.keys(), k, epsilon=0.0)
+
+    def controller_inputs(self) -> tuple[CandidateLog, bytes]:
+        """The candidate log and the table snapshot the controller re-ranks."""
+        return self.candidates, self.table.to_bytes()
+
+    def memory_bytes(self) -> int:
+        """Emulated 32-bit counters plus the gate's bits."""
+        return self.rows * self.buckets * 4 + self.gate.memory_bytes()

@@ -140,6 +140,7 @@ class RetransmitDetector:
     registers: int = 256
     instances: int = 3
     capacity_slack: int = 64
+    k_threshold: float = 1.05       # run() reports ratios at or above k/4
 
     def __post_init__(self) -> None:
         self.sketch = CountSketchTable(self.rows, self.buckets, run_seed=self.run_seed)
@@ -148,6 +149,12 @@ class RetransmitDetector:
         self.capacity = int(2.0 / self.epsilon) + self.capacity_slack
         self.skipped = 0
         self._last_ts = 0     # latest DATA timestamp seen
+
+    @classmethod
+    def from_config(cls, cfg) -> "RetransmitDetector":
+        """Build from a ``harness.DetectorConfig``; 1,024 registers per estimator."""
+        return cls(buckets=cfg.buckets, rows=cfg.rows, run_seed=cfg.seed,
+                   epsilon=cfg.epsilon, k_threshold=cfg.k_threshold, registers=1024)
 
     def _tracked_estimates(self) -> list[tuple[int, bytes]]:
         """(sketch estimate, key) of every tracked flow, in one batch."""
@@ -227,6 +234,15 @@ class RetransmitDetector:
         entries = [(key, r) for key, r in entries if r >= thr]
         entries.sort(key=lambda item: (-item[1], item[0]))
         return HeavyReport("retransmit", entries, total=float(self.total), threshold=thr)
+
+    def run(self, trace: Trace, k: int) -> HeavyReport:
+        self.observe_trace(trace)
+        report = self.report(self.k_threshold)
+        report.entries = report.entries[:k]
+        return report
+
+    def controller_inputs(self) -> tuple[None, None]:
+        return None, None       # no controller re-rank: the report is final
 
     def memory_bytes(self) -> int:
         sketch = self.rows * self.buckets * 4    # emulated 32-bit counters

@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 from flowsift import hashing
 from flowsift.countsketch import CountSketchTable
 from flowsift.hashing import bucket_of_fold, fold64, sign_of_fold
+from flowsift.reporter import CandidateLog, controller_topk
 
 from conftest import random_keys
 
@@ -48,7 +49,6 @@ def test_single_flow_estimate_is_exact():
     t = CountSketchTable(5, 64, run_seed=4)
     t.update(b"only-flow", 15)
     assert t.estimate(b"only-flow") == 15
-    assert t.estimate_abs(b"only-flow") == 15
 
 
 def test_untouched_key_on_empty_table_estimates_zero():
@@ -142,13 +142,18 @@ def test_row_estimator_variance_bounded(rng):
     assert np.var(samples) <= 1.5 * true_sq / B
 
 
+def _log(keys) -> CandidateLog:
+    return CandidateLog([(key, 0, 0.0) for key in keys])
+
+
 def test_heavy_keys_empty_and_threshold_zero(rng):
     t = CountSketchTable(5, 256, run_seed=11)
-    assert t.heavy_keys([], 10) == []
+    assert t.signed_magnitudes([]) == []
+    assert controller_topk(t, CandidateLog(), 10).entries == []
     keys = random_keys(rng, 10)
     for i, k in enumerate(keys):
         t.update(k, i + 1)
-    ranked = t.heavy_keys(keys, 0)
+    ranked = controller_topk(t, _log(keys), 10).entries
     assert len(ranked) == 10
     values = [v for _, v in ranked]
     assert values == sorted(values, reverse=True)
@@ -164,8 +169,8 @@ def test_heavy_keys_recovers_planted_heavy(rng):
         t.update(planted, 10_000)
         for k in light:
             t.update(k, 10)
-        top = t.heavy_keys(keys, 5_000)
-        if top and top[0][0] == planted:
+        top = max(t.signed_magnitudes(keys), key=lambda kv: kv[1])
+        if top[0] == planted and top[1] >= 5_000:
             hits += 1
     assert hits >= 18
 
@@ -174,7 +179,7 @@ def test_heavy_keys_ties_break_on_key_bytes():
     t = CountSketchTable(5, 4096, run_seed=13)
     t.update(b"bbbbbbbbbbbbb", 5)
     t.update(b"aaaaaaaaaaaaa", 5)
-    ranked = t.heavy_keys([b"bbbbbbbbbbbbb", b"aaaaaaaaaaaaa"], 0)
+    ranked = controller_topk(t, _log([b"bbbbbbbbbbbbb", b"aaaaaaaaaaaaa"]), 2).entries
     assert ranked[0][0] == b"aaaaaaaaaaaaa"
 
 
@@ -238,10 +243,8 @@ def test_batch_estimate_matches_scalar(rng):
     folds = np.array([fold64(k) for k in keys], dtype=np.uint64)
     t.update_batch(folds, rng.integers(-50, 51, 300))
     est = t.estimate_batch(folds)
-    est_abs = t.estimate_abs_batch(folds)
     for i in (0, 7, 123, 299):
         assert est[i] == t.estimate(keys[i])
-        assert est_abs[i] == t.estimate_abs(keys[i])
 
 
 @pytest.mark.parametrize("rows", [3, 4])
@@ -260,7 +263,7 @@ def test_table_matches_scalar_replay(rng, rows):
             counters[j][b] += sign_of_fold(t.sign_hashes[j], x) * delta
     assert t.counters.tolist() == counters
     folds = np.array([fold64(k) for k in keys], dtype=np.uint64)
-    est, est_abs = t.estimate_batch(folds), t.estimate_abs_batch(folds)
+    est = t.estimate_batch(folds)
     for i, key in enumerate(keys):
         x = fold64(key)
         vals = sorted(sign_of_fold(t.sign_hashes[j], x)
@@ -268,7 +271,6 @@ def test_table_matches_scalar_replay(rng, rows):
                       for j in range(rows))
         mid = (rows - 1) // 2
         assert t.estimate(key) == est[i] == vals[mid]
-        assert t.estimate_abs(key) == est_abs[i] == sorted(map(abs, vals))[mid]
 
 
 def _batch(updates):
@@ -309,4 +311,4 @@ def test_snapshot_round_trip_keeps_estimates(updates, shape):
     assert back.total_l1 == t.total_l1
     folds = np.array([fold64(k) for k in KEY_POOL], dtype=np.uint64)
     assert (back.estimate_batch(folds) == t.estimate_batch(folds)).all()
-    assert back.heavy_keys(KEY_POOL, 0) == t.heavy_keys(KEY_POOL, 0)
+    assert back.signed_magnitudes(KEY_POOL) == t.signed_magnitudes(KEY_POOL)

@@ -3,36 +3,40 @@ import json
 import numpy as np
 import pytest
 
-from flowsift import harness
+from flowsift import reporter
 from flowsift.harness import (ConfigError, DataError, DetectorConfig,
-                              EvalResult, budget_to_buckets, median_recall,
-                              ooo_shape, read_json, run_experiment,
+                              EvalResult, median_recall, read_json, run_experiment,
                               sweep_memory, write_csv, write_json,
                               write_reports, _score)
-from flowsift.inject import InjectionPlan, inject_latency, inject_loss
+from flowsift.inject import INJECTORS, InjectionPlan, inject_latency, inject_loss
 from flowsift.latency import LatencyDetector, TypeFilter
 from flowsift.loss import LossDetector
+from flowsift.ooo import ooo_shape
 from flowsift.packets import PacketType
-from flowsift.reporter import BloomGate, CandidateLog, maybe_report
+from flowsift.reporter import BloomGate, CandidateLog, controller_topk, maybe_report
 from flowsift.synth import SynthConfig, synthesize
 from flowsift.traceio import Trace
 
 
 @pytest.fixture(scope="module")
-def latency_setup():
+def base_trace():
     trace, _ = synthesize(SynthConfig(flows=800, packets=8000, seed=21,
                                       duration_ns=400_000_000))
+    return trace
+
+
+@pytest.fixture(scope="module")
+def latency_setup(base_trace):
     plan = InjectionPlan("latency", 30_000_000, magnitude_high=70_000_000,
                          victims=30, pool=100, seed=21)
-    out, manifest = inject_latency(trace, plan)
-    return out, manifest
+    return inject_latency(base_trace, plan)
 
 
 def test_budget_mapping_matches_paper_arithmetic():
-    assert budget_to_buckets(40_000, rows=5) == 2000
-    assert budget_to_buckets(80_000, rows=5) == 4000
+    assert DetectorConfig("latency", budget_bytes=40_000, rows=5).buckets == 2000
+    assert DetectorConfig("latency", budget_bytes=80_000, rows=5).buckets == 4000
     with pytest.raises(ConfigError):
-        budget_to_buckets(10, rows=5)
+        DetectorConfig("latency", budget_bytes=10, rows=5).validate()
 
 
 def test_ooo_shape_fits_budget():
@@ -111,19 +115,18 @@ def test_determinism_of_semantic_fields(latency_setup):
 def _reference_candidates(trace, cfg):
     """The gate loop with an exact set of decided folds in front of a
     per-key maybe_report; returns the log entries and the decided count."""
-    buckets = budget_to_buckets(cfg.budget_bytes, cfg.rows)
     if cfg.kind == "latency":
-        det = LatencyDetector(buckets=buckets, rows=cfg.rows, run_seed=cfg.seed,
+        det = LatencyDetector(buckets=cfg.buckets, rows=cfg.rows, run_seed=cfg.seed,
                               type_filter=TypeFilter.named(cfg.type_filter),
                               time_unit_ns=cfg.time_unit_ns)
         codes = [int(t) for t in det.type_filter.responses]
     else:
-        det = LossDetector(buckets=buckets, rows=cfg.rows, run_seed=cfg.seed)
+        det = LossDetector(buckets=cfg.buckets, rows=cfg.rows, run_seed=cfg.seed)
         codes = [int(PacketType.DATA)]
-    gate, log = BloomGate(harness.GATE_BITS, run_seed=cfg.seed), CandidateLog()
+    gate, log = BloomGate(reporter.GATE_BITS, run_seed=cfg.seed), CandidateLog()
     decided = set()
-    for lo in range(0, len(trace), harness.CHUNK):
-        sub = trace.select(slice(lo, lo + harness.CHUNK))
+    for lo in range(0, len(trace), reporter.CHUNK):
+        sub = trace.select(slice(lo, lo + reporter.CHUNK))
         admitted, keys, folds = det.observe_batch(sub)
         rows = np.flatnonzero(np.isin(sub.ptype[admitted], codes))
         hot, first = np.unique(folds[rows], return_index=True)
@@ -142,8 +145,8 @@ def _reference_candidates(trace, cfg):
 @pytest.mark.parametrize("kind", ["latency", "loss"])
 def test_gate_loop_matches_decided_set_reference(latency_setup, kind, monkeypatch):
     # a 256-bit gate saturates, so Bloom suppressions are part of the log
-    monkeypatch.setattr(harness, "GATE_BITS", 1 << 8)
-    monkeypatch.setattr(harness, "CHUNK", 512)
+    monkeypatch.setattr(reporter, "GATE_BITS", 1 << 8)
+    monkeypatch.setattr(reporter, "CHUNK", 512)
     trace, manifest = latency_setup
     cfg = DetectorConfig(kind, budget_bytes=4_000, seed=3, k=30, type_filter="data",
                          report_epsilon=1e-4)
@@ -152,6 +155,34 @@ def test_gate_loop_matches_decided_set_reference(latency_setup, kind, monkeypatc
     assert art.candidates.entries == entries
     assert 0 < len(entries) < decided
     assert art.result.extended_memory_bytes == 4_000 + 32
+
+
+_ARTIFACT_PLANS = {
+    "latency": InjectionPlan("latency", 30_000_000, magnitude_high=70_000_000,
+                             victims=30, pool=100, seed=21),
+    "loss": InjectionPlan("loss", 0.2, victims=20, pool=40, seed=21),
+    "ooo": InjectionPlan("reorder", 0.2, victims=20, pool=40, seed=21),
+    "retransmit": InjectionPlan("duplicate", 0.3, victims=20, pool=40, seed=21),
+}
+# sketch + 2^20-bit gate; ooo_shape(40 kB); the sketch plus 29 + 3 x 1,024 B
+# for each of the 31 flows tracked at stream end
+_EXTENDED_MEMORY = {"latency": 171_072, "loss": 171_072, "ooo": 39_692,
+                    "retransmit": 136_131}
+
+
+@pytest.mark.parametrize("kind", list(_ARTIFACT_PLANS))
+def test_run_artifacts_per_kind(base_trace, kind):
+    plan = _ARTIFACT_PLANS[kind]
+    trace, manifest = INJECTORS[plan.kind](base_trace, plan)
+    cfg = DetectorConfig(kind, seed=4, k=20, report_epsilon=1e-4, epsilon=0.01)
+    art = run_experiment(trace, manifest, cfg)
+    assert art.returned and art.result.recall >= 0.8
+    assert art.result.extended_memory_bytes == _EXTENDED_MEMORY[kind]
+    if kind in ("latency", "loss"):
+        assert len(art.candidates) >= len(art.returned)
+        assert controller_topk(art.snapshot, art.candidates, cfg.k).keys() == art.returned
+    else:
+        assert art.candidates is None and art.snapshot is None
 
 
 def test_loss_pipeline_end_to_end():

@@ -142,6 +142,27 @@ def test_key_matrices_of_strided_trace(small_trace):
         assert bool(fwd[i]) == canonicalize(key).forward
 
 
+@given(st.integers(0, 30), st.data())
+def test_select_matches_fancy_index(n, data):
+    arr = np.zeros(n, dtype=RECORD_DTYPE)
+    arr["seq"] = np.arange(n)
+    ends = st.none() | st.integers(-n - 2, n + 2)
+    rows = data.draw(st.one_of(
+        st.builds(slice, ends, ends, st.none() | st.sampled_from([1, 2, 3, -1, -2])),
+        st.lists(st.booleans(), min_size=n, max_size=n).map(
+            lambda bits: np.array(bits, dtype=bool)),
+        st.lists(st.integers(-n, n - 1) if n else st.nothing(), max_size=2 * n)))
+    picked = Trace(arr).select(rows)
+    assert picked.arr.tobytes() == arr[rows].tobytes()
+    if isinstance(rows, slice):
+        assert picked.arr.base is arr           # the gate loop's chunks are views
+
+
+def test_select_rejects_a_mask_of_another_length(small_trace):
+    with pytest.raises(IndexError):
+        small_trace.select(np.ones(len(small_trace) - 1, dtype=bool))
+
+
 # ts, src, dst, sport, dport, ptype, seq over tiny ranges force ties at every
 # level; proto, ack and size tell fully tied records apart
 _SORT_COLUMNS = ("ts", "src", "dst", "sport", "dport", "ptype", "seq", "proto", "ack", "size")

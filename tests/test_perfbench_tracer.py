@@ -1,0 +1,54 @@
+"""The benchmark's tracer wraps flowsift names from outside the package.
+
+``perfbench/tracer.py`` replaces methods through ``cls.__dict__[attr]``
+and module functions by identity, so a wrapped name that moves to another
+module, or is inherited instead of defined on its class, breaks the
+benchmark. Entering a recording fails in that case, and so does this test.
+"""
+
+import sys
+from pathlib import Path
+
+from flowsift import harness, reporter
+from flowsift.inject import INJECTORS, InjectionPlan
+from flowsift.latency import LatencyDetector
+from flowsift.loss import LossDetector
+from flowsift.ooo import OooDetector
+from flowsift.retransmit import RetransmitDetector
+from flowsift.synth import SynthConfig, synthesize
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from tracer import Tracer  # noqa: E402
+
+WRAPPED_METHODS = [
+    (LatencyDetector, "observe_batch"), (LatencyDetector, "topk"),
+    (LossDetector, "observe_batch"), (LossDetector, "topk"),
+    (OooDetector, "observe_trace"), (OooDetector, "topk"),
+    (RetransmitDetector, "observe_trace"), (RetransmitDetector, "report"),
+    (RetransmitDetector, "_admit"), (LatencyDetector, "__init__"),
+]
+
+
+def test_recording_wraps_and_restores_benchmark_names():
+    trace, _ = synthesize(SynthConfig(flows=200, packets=2000, seed=5,
+                                      duration_ns=200_000_000))
+    plan = InjectionPlan("loss", 0.2, victims=10, pool=20, seed=5)
+    trace, manifest = INJECTORS[plan.kind](trace, plan)
+    methods = {(cls, attr): cls.__dict__[attr] for cls, attr in WRAPPED_METHODS}
+    functions = {(module, name): getattr(module, name) for module, name in
+                 ((harness, "run_experiment"), (harness, "compute_relevant"),
+                  (reporter, "maybe_report"), (reporter, "controller_topk"))}
+    tracer = Tracer()
+    with tracer.recording("t"):
+        for (cls, attr), orig in methods.items():
+            assert cls.__dict__[attr] is not orig, (cls.__name__, attr)
+        for (module, name), orig in functions.items():
+            assert getattr(module, name) is not orig, name
+        harness.run_experiment(trace, manifest, harness.DetectorConfig("loss", k=10))
+    for (cls, attr), orig in methods.items():
+        assert cls.__dict__[attr] is orig, (cls.__name__, attr)
+    for (module, name), orig in functions.items():
+        assert getattr(module, name) is orig, name
+    for span in ("harness.run", "oracle", "loss.observe_batch", "loss.topk"):
+        assert tracer.of("t", span), span
+    assert len(tracer.found("t", "CandidateLog")) == 1
