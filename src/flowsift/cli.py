@@ -86,7 +86,7 @@ def _add_run_args(sub: argparse.ArgumentParser) -> None:
                      help="elephant-tracking fraction (retransmit, default "
                           "0.001) or top-table fraction (ooo: slots = 1/eps)")
     sub.add_argument("--report-epsilon", type=float, default=0.0,
-                     help="mirroring trigger: eps * running total")
+                     help="mirroring trigger: eps * running total / 2")
     sub.add_argument("--type-filter", choices=("syn", "data", "all"), default="syn")
     sub.add_argument("--time-unit", type=int, default=1000, help="ns per counter unit")
     sub.add_argument("--window-ms", type=float, default=3.0)
@@ -197,6 +197,8 @@ def _cmd_run(args) -> int:
 
 
 def _run_framework(args, trace: Trace) -> int:
+    if args.framework_buckets < 1:
+        raise ConfigError("--framework-buckets must be >= 1")
     keys = trace.select(trace.ptype == PacketType.DATA).key_matrix()
     ids = flow_id32_batch(hashing.fold64_matrix(keys), args.seed)
     sketch = FrameworkSketch(args.framework_buckets, 32, run_seed=args.seed)

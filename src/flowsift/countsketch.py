@@ -61,6 +61,9 @@ class CountSketchTable:
             raise ValueError("need one bucket hash and one sign hash per row")
         self.row_hashes = list(row_hashes)
         self.sign_hashes = list(sign_hashes)
+        self._row_stack = hashing.stack(self.row_hashes)
+        self._sign_stack = hashing.stack(self.sign_hashes)
+        self._row_offsets = np.arange(rows)[:, None] * buckets
 
     @classmethod
     def from_epsilon_delta(cls, epsilon: float, delta: float, **kw) -> "CountSketchTable":
@@ -76,10 +79,10 @@ class CountSketchTable:
         """The error parameter implied by B = 9 / eps^2."""
         return float(np.sqrt(9.0 / self.buckets))
 
-    def _cells(self, folds: np.ndarray):
-        """Per row, the bucket and the sign of each prefolded key."""
-        for rh, sh in zip(self.row_hashes, self.sign_hashes):
-            yield hashing.bucket_batch(rh, folds, self.buckets), hashing.sign_batch(sh, folds)
+    def _cells(self, folds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(rows, n) flat counter indices and signs of prefolded keys."""
+        return (hashing.bucket_batch(self._row_stack, folds, self.buckets) + self._row_offsets,
+                hashing.sign_batch(self._sign_stack, folds))
 
     # -- updates -------------------------------------------------------------
 
@@ -90,8 +93,9 @@ class CountSketchTable:
     def update_batch(self, folds: np.ndarray, deltas: np.ndarray) -> None:
         """Apply many updates at once; folds are prefolded 64-bit keys."""
         deltas = np.asarray(deltas, dtype=np.int64)
-        for j, (idx, signs) in enumerate(self._cells(folds)):
-            np.add.at(self.counters[j], idx, signs * deltas)
+        idx, signs = self._cells(folds)
+        # reshape of the C-order counters is a view; 1-D indices take add.at's fast path
+        np.add.at(self.counters.reshape(-1), idx.ravel(), (signs * deltas).ravel())
         if self.checked and np.abs(self.counters).max(initial=0) >= _OVERFLOW_LIMIT:
             j, b = np.unravel_index(int(np.abs(self.counters).argmax()), self.counters.shape)
             raise OverflowError(f"counter overflow at row {j} bucket {b}")
@@ -104,23 +108,19 @@ class CountSketchTable:
         of the two central values when the row count is even)."""
         return int(self.estimate_batch(hashing.fold64_keys([key]))[0])
 
-    def _row_estimates_batch(self, folds: np.ndarray) -> np.ndarray:
-        return np.array([signs * self.counters[j, idx]
-                         for j, (idx, signs) in enumerate(self._cells(folds))])
-
     def estimate_batch(self, folds: np.ndarray) -> np.ndarray:
-        vals = np.sort(self._row_estimates_batch(folds), axis=0)
-        return vals[(self.rows - 1) // 2]
+        idx, signs = self._cells(folds)
+        return np.sort(signs * self.counters.take(idx), axis=0)[(self.rows - 1) // 2]
 
     # -- queries -------------------------------------------------------------
 
-    def signed_magnitudes(self, keys: list[bytes]) -> list[tuple[bytes, int]]:
-        """|signed-median estimate| for many equal-width keys at once."""
+    def signed_magnitudes(self, keys: list[bytes]) -> list[tuple[bytes, float]]:
+        """(key, |signed-median estimate|) of equal-width keys, largest first, ties by key."""
         if not keys:
             return []
         matrix = np.frombuffer(b"".join(keys), dtype=np.uint8).reshape(len(keys), -1)
-        values = np.abs(self.estimate_batch(hashing.fold64_matrix(matrix)))
-        return list(zip(keys, values.tolist()))
+        values = np.abs(self.estimate_batch(hashing.fold64_matrix(matrix))).astype(float)
+        return sorted(zip(keys, values.tolist()), key=lambda item: (-item[1], item[0]))
 
     # -- linearity -----------------------------------------------------------
 
@@ -141,9 +141,8 @@ class CountSketchTable:
         head = struct.pack("<4sBBII q", _SNAPSHOT_MAGIC, _SNAPSHOT_VERSION,
                            _SNAPSHOT_FAMILY, self.rows, self.buckets,
                            self.total_l1)
-        seeds = b"".join(struct.pack("<QQQQ", rh.a, rh.b, sh.a, sh.b)
-                         for rh, sh in zip(self.row_hashes, self.sign_hashes))
-        return head + seeds + self.counters.astype("<i8").tobytes()
+        seeds = np.hstack([*self._row_stack, *self._sign_stack]).astype("<u8")   # a1 b1 a2 b2
+        return head + seeds.tobytes() + self.counters.astype("<i8").tobytes()
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "CountSketchTable":
@@ -163,16 +162,11 @@ class CountSketchTable:
         if len(data) != expected:
             raise ValueError(f"snapshot is {len(data)} bytes, expected {expected} "
                              f"for {rows} x {buckets} counters")
-        offset = head_size
-        row_hashes, sign_hashes = [], []
-        for j in range(rows):
-            a1, b1, a2, b2 = struct.unpack_from("<QQQQ", data, offset)
-            offset += 32
-            row_hashes.append(HashPair(a1, b1, j))
-            sign_hashes.append(HashPair(a2, b2, j))
-        counters = np.frombuffer(data, dtype="<i8", count=rows * buckets,
-                                 offset=offset).reshape(rows, buckets)
-        table = cls(rows, buckets, row_hashes=row_hashes, sign_hashes=sign_hashes)
-        table.counters = counters.astype(np.int64)
+        seeds = list(struct.iter_unpack("<QQQQ", data[head_size:head_size + 32 * rows]))
+        table = cls(rows, buckets,
+                    row_hashes=[HashPair(a, b, j) for j, (a, b, _, _) in enumerate(seeds)],
+                    sign_hashes=[HashPair(a, b, j) for j, (_, _, a, b) in enumerate(seeds)])
+        table.counters = np.frombuffer(data, dtype="<i8", offset=head_size + 32 * rows
+                                       ).reshape(rows, buckets).astype(np.int64)
         table.total_l1 = total_l1
         return table

@@ -100,8 +100,7 @@ def flow_id32_batch(folds: np.ndarray, run_seed: int = 0) -> np.ndarray:
     Collisions are accepted and measured, not prevented.
     """
     pair = hashing.derive_hash_pair(run_seed, 0, hashing.STREAM_FLOW_ID)
-    z = np.uint64(pair.a) * folds.astype(np.uint64) + np.uint64(pair.b)
-    return z >> np.uint64(32)
+    return hashing._affine(pair, folds) >> np.uint64(32)
 
 
 def flow_id32(key: bytes, run_seed: int = 0) -> int:

@@ -50,7 +50,7 @@ class DetectorConfig:
     rows: int = 5
     seed: int = 0
     k: int = 100
-    report_epsilon: float = 0.0      # trigger threshold = eps * running total
+    report_epsilon: float = 0.0      # trigger threshold = eps * running total / 2
     # latency
     type_filter: str = "syn"
     time_unit_ns: int = 1000
@@ -72,14 +72,19 @@ class DetectorConfig:
         if self.kind not in DETECTORS:
             raise ConfigError(f"unknown detector {self.kind!r}; "
                               f"expected one of {tuple(DETECTORS)}")
-        for bad, message in ((self.buckets < 1, f"budget {self.budget_bytes} B "
-                                                 f"cannot fit {self.rows} rows"),
+        for bad, message in ((self.rows < 1, "rows must be >= 1"),
+                             (self.budget_bytes < 4 * self.rows,   # buckets < 1 (safe at rows 0)
+                              f"budget {self.budget_bytes} B cannot fit {self.rows} rows"),
                              (self.k < 1, "k must be >= 1"),
                              (self.report_epsilon < 0, "report epsilon must be >= 0"),
                              (self.time_unit_ns < 1, "time unit must be >= 1 ns"),
                              (self.window_ns < 0, "window must be >= 0"),
                              (not 0 < self.epsilon < 1, "epsilon must lie in (0, 1)"),
-                             (self.k_threshold <= 1, "k threshold must be > 1")):
+                             (self.k_threshold <= 1, "k threshold must be > 1"),
+                             (self.cache_capacity is not None and self.cache_capacity < 2,
+                              "cache capacity must be >= 2"),
+                             (self.ooo_slots is not None and self.ooo_slots < 1,
+                              "ooo slots must be >= 1")):
             if bad:
                 raise ConfigError(message)
 

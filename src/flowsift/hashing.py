@@ -5,6 +5,9 @@ bytes: bucket = fastrange on the high 32 bits of a*x + b, sign = the top
 bit. It is vectorizable, and statistically indistinguishable from
 pairwise independence for the workloads here. Each function has a scalar
 form and a vector form over prefolded keys, and the two match exactly.
+The vector forms share one a*x + b kernel, ``_affine``, which broadcasts
+a ``HashStack`` of h pairs to (h, n): a sketch hashes all its rows in
+one call, as a switch hashes them in one stage.
 
 All seed material derives from a single 64-bit run seed: each (row,
 stream) slot gets run_seed XOR a golden-ratio multiple, expanded through
@@ -14,6 +17,7 @@ splitmix64. One integer in a config therefore replays an experiment.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -57,6 +61,17 @@ class HashPair:
             raise ValueError("multiplier a must be nonzero")
 
 
+class HashStack(NamedTuple):
+    """h hash pairs as (h, 1) uint64 columns, evaluated in one broadcast."""
+
+    a: np.ndarray
+    b: np.ndarray
+
+
+def stack(pairs: "list[HashPair]") -> HashStack:
+    return HashStack(*np.array([(p.a, p.b) for p in pairs], dtype=np.uint64).T[:, :, None])
+
+
 def derive_hash_pair(run_seed: int, row: int, stream: int) -> HashPair:
     """Split one run seed into the (a, b) pair for a (row, stream) slot."""
     state = (run_seed ^ ((row + 1) * GOLDEN64) ^ (stream * _STREAM_SALT)) & MASK64
@@ -95,12 +110,7 @@ def fold64_matrix(m: np.ndarray) -> np.ndarray:
 
 def fold64_ints(values: np.ndarray) -> np.ndarray:
     """Vector FNV-1a over 8-byte little-endian encodings of uint64 values."""
-    v = values.astype(np.uint64)
-    h = np.full(v.shape, _FNV_OFFSET, dtype=np.uint64)
-    prime = np.uint64(_FNV_PRIME)
-    for b in range(8):
-        h = (h ^ ((v >> np.uint64(8 * b)) & np.uint64(0xFF))) * prime
-    return h
+    return fold64_matrix(np.ascontiguousarray(values, dtype="<u8").view(np.uint8).reshape(-1, 8))
 
 
 # -- evaluation ---------------------------------------------------------------
@@ -129,11 +139,15 @@ def sign(pair: HashPair, data: bytes) -> int:
 
 # -- vector paths (exact match with the scalar forms) -------------------------
 
-def bucket_batch(pair: HashPair, folds: np.ndarray, buckets: int) -> np.ndarray:
-    z = np.uint64(pair.a) * folds.astype(np.uint64) + np.uint64(pair.b)
+def _affine(pair: "HashPair | HashStack", folds: np.ndarray) -> np.ndarray:
+    """a*x + b mod 2^64 over prefolded keys: (n,) for a pair, (h, n) for a stack."""
+    return np.uint64(pair.a) * np.asarray(folds, dtype=np.uint64) + np.uint64(pair.b)
+
+
+def bucket_batch(pair: "HashPair | HashStack", folds: np.ndarray, buckets: int) -> np.ndarray:
+    z = _affine(pair, folds)
     return (((z >> np.uint64(32)) * np.uint64(buckets)) >> np.uint64(32)).astype(np.int64)
 
 
-def sign_batch(pair: HashPair, folds: np.ndarray) -> np.ndarray:
-    z = np.uint64(pair.a) * folds.astype(np.uint64) + np.uint64(pair.b)
-    return (1 - 2 * (z >> np.uint64(63)).astype(np.int64))
+def sign_batch(pair: "HashPair | HashStack", folds: np.ndarray) -> np.ndarray:
+    return (1 - 2 * (_affine(pair, folds) >> np.uint64(63)).astype(np.int64))

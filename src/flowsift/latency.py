@@ -112,9 +112,8 @@ class LatencyDetector(GatedSketchDetector):
         # eps * total_l1 / 2: total_l1 counts both directions, the
         # round-trip total is taken as half
         thr = (self.epsilon if epsilon is None else epsilon) * self.table.total_l1 / 2.0
-        scored = self.table.signed_magnitudes([_pair_bytes(c) for c in candidates])
-        scored = [(key, float(v)) for key, v in scored if v >= thr]
-        scored.sort(key=lambda item: (-item[1], item[0]))
+        scored = [(key, v) for key, v in self.table.signed_magnitudes(
+            [_pair_bytes(c) for c in candidates]) if v >= thr]
         return HeavyReport("latency", scored[:k],
                            total=float(self.table.total_l1), threshold=thr)
 

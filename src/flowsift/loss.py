@@ -70,8 +70,6 @@ class LossDetector(GatedSketchDetector):
         incoherent signs across rows and cancel in the signed median.
         """
         scored = self.table.signed_magnitudes([_key_bytes(c) for c in candidates])
-        scored = [(key, float(v)) for key, v in scored]
-        scored.sort(key=lambda item: (-item[1], item[0]))
         total = float(sum(v for _, v in scored))
         eps = self.epsilon if epsilon is None else epsilon
         thr = eps * total

@@ -76,8 +76,8 @@ class RecencyCache:
         self.capacity = capacity
         self.window_ns = window_ns
         self.dropped = 0
-        self._h1 = hashing.derive_hash_pair(run_seed, 0, hashing.STREAM_CACHE)
-        self._h2 = hashing.derive_hash_pair(run_seed, 1, hashing.STREAM_CACHE)
+        self._halves = hashing.stack([hashing.derive_hash_pair(run_seed, j, hashing.STREAM_CACHE)
+                                      for j in (0, 1)])
         self._half = capacity // 2
         self._slots: list[list | None] = [None] * capacity
         self._index: dict[bytes, int] = {}
@@ -101,8 +101,8 @@ class RecencyCache:
         self._last_ts = int(stamps[-1])
         keys = data.key_matrix()
         folds = hashing.fold64_matrix(keys)
-        first = hashing.bucket_batch(self._h1, folds, self._half).tolist()
-        second = (self._half + hashing.bucket_batch(self._h2, folds, self._half)).tolist()
+        first, second = (hashing.bucket_batch(self._halves, folds, self._half)
+                         + [[0], [self._half]]).tolist()     # second half's offset
         window, slots, index = self.window_ns, self._slots, self._index
         late = []
         for i, (key, ts, seq, slot, alternate) in enumerate(zip(
@@ -224,8 +224,8 @@ class OooDetector:
     def from_config(cls, cfg) -> "OooDetector":
         """The ``ooo_shape`` budget split, unless the config overrides it."""
         slots, capacity = ooo_shape(cfg.budget_bytes)
-        return cls(slots=cfg.ooo_slots or slots,
-                   cache_capacity=cfg.cache_capacity or capacity,
+        return cls(slots=slots if cfg.ooo_slots is None else cfg.ooo_slots,
+                   cache_capacity=capacity if cfg.cache_capacity is None else cfg.cache_capacity,
                    window_ns=cfg.window_ns, weight_mode=cfg.weight_mode,
                    run_seed=cfg.seed)
 

@@ -46,11 +46,11 @@ class BloomGate:
         self.inserted = 0
         self._pairs = [hashing.derive_hash_pair(run_seed, i, hashing.STREAM_BLOOM)
                        for i in range(hashes)]
+        self._stack = hashing.stack(self._pairs)
 
     def _positions(self, folds: np.ndarray) -> np.ndarray:
         """(n, hashes) bit positions of prefolded keys."""
-        return np.stack([hashing.bucket_batch(p, folds, self.bits) for p in self._pairs],
-                        axis=1)
+        return hashing.bucket_batch(self._stack, folds, self.bits).T
 
     def __contains__(self, key: bytes) -> bool:
         return bool(self.array[self._positions(hashing.fold64_keys([key]))].all())
@@ -157,9 +157,8 @@ def controller_topk(snapshot: "bytes | CountSketchTable", log: CandidateLog,
         else CountSketchTable.from_bytes(snapshot)
     if log.seed_signature and log.seed_signature != table.seed_signature():
         raise ValueError("snapshot seeds do not match the candidate log's run")
-    scored = [(key, float(v)) for key, v in table.signed_magnitudes(log.keys())]
-    scored.sort(key=lambda item: (-item[1], item[0]))
-    return HeavyReport("controller", scored[:k], total=float(table.total_l1))
+    return HeavyReport("controller", table.signed_magnitudes(log.keys())[:k],
+                       total=float(table.total_l1))
 
 
 @dataclass

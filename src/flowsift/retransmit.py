@@ -62,7 +62,7 @@ class DistinctEstimator:
     def add_batch(self, values: np.ndarray) -> None:
         # avalanche finalizer: plain a*x+b leaves arithmetic structure in
         # sequential ids, which wrecks the leading-zero statistics
-        z = values.astype(np.uint64) * np.uint64(self._hash.a) + np.uint64(self._hash.b)
+        z = hashing._affine(self._hash, values)
         z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
         z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
         h = z ^ (z >> np.uint64(31))

@@ -64,7 +64,9 @@ def test_even_row_count_takes_lower_middle():
                                       hashing.HashPair(1, 1 << 63, 1)])
     t.counters[0, 0] = 10
     t.counters[1, 0] = 10
-    vals = sorted(t._row_estimates_batch(np.array([fold64(b"k")], dtype=np.uint64))[:, 0])
+    x = fold64(b"k")
+    vals = sorted(sign_of_fold(sh, x) * int(t.counters[j, bucket_of_fold(rh, x, 1)])
+                  for j, (rh, sh) in enumerate(zip(t.row_hashes, t.sign_hashes)))
     assert t.estimate(b"k") == vals[0]
 
 
@@ -247,30 +249,47 @@ def test_batch_estimate_matches_scalar(rng):
         assert est[i] == t.estimate(keys[i])
 
 
-@pytest.mark.parametrize("rows", [3, 4])
-def test_table_matches_scalar_replay(rng, rows):
-    # pure-Python replay: one counter per row, lower-middle median
-    buckets = 16
-    t = CountSketchTable(rows, buckets, run_seed=40 + rows)
-    keys = random_keys(rng, 40)
+_REPLAY_RNG = np.random.default_rng(41)
+_REPLAY = [(KEY_POOL[int(i)], int(d)) for i, d in zip(_REPLAY_RNG.integers(0, 20, 300),
+                                                       _REPLAY_RNG.integers(-9, 10, 300))]
+
+
+def _check_scalar_replay(rows, buckets, seed, updates, reload):
+    # pure-Python replay: one counter per row, lower-middle median. With
+    # ``reload`` the table goes through a snapshot halfway, and the second
+    # half of the updates must land in the reloaded counters.
+    t = CountSketchTable(rows, buckets, run_seed=seed)
     counters = [[0] * buckets for _ in range(rows)]
-    for _ in range(300):
-        key, delta = keys[rng.integers(len(keys))], int(rng.integers(-9, 10))
+    for i, (key, delta) in enumerate(updates):
+        if reload and i == len(updates) // 2:
+            t = CountSketchTable.from_bytes(t.to_bytes())
         t.update(key, delta)
         x = fold64(key)
         for j in range(rows):
             b = bucket_of_fold(t.row_hashes[j], x, buckets)
             counters[j][b] += sign_of_fold(t.sign_hashes[j], x) * delta
     assert t.counters.tolist() == counters
-    folds = np.array([fold64(k) for k in keys], dtype=np.uint64)
+    assert t.total_l1 == sum(abs(d) for _, d in updates)
+    folds = np.array([fold64(k) for k in KEY_POOL], dtype=np.uint64)
     est = t.estimate_batch(folds)
-    for i, key in enumerate(keys):
+    for i, key in enumerate(KEY_POOL):
         x = fold64(key)
         vals = sorted(sign_of_fold(t.sign_hashes[j], x)
                       * counters[j][bucket_of_fold(t.row_hashes[j], x, buckets)]
                       for j in range(rows))
-        mid = (rows - 1) // 2
-        assert t.estimate(key) == est[i] == vals[mid]
+        assert t.estimate(key) == est[i] == vals[(rows - 1) // 2]
+
+
+@pytest.mark.parametrize("rows", [3, 4])
+def test_table_matches_scalar_replay(rows):
+    _check_scalar_replay(rows, 16, 40 + rows, _REPLAY, reload=rows == 4)
+
+
+@given(st.integers(1, 7), st.integers(1, 64), st.integers(0, 2**64 - 1),
+       st.lists(st.tuples(st.sampled_from(KEY_POOL), st.integers(-9, 9)), max_size=80),
+       st.booleans())
+def test_table_matches_scalar_replay_any_shape(rows, buckets, seed, updates, reload):
+    _check_scalar_replay(rows, buckets, seed, updates, reload)
 
 
 def _batch(updates):

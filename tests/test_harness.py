@@ -11,7 +11,7 @@ from flowsift.harness import (ConfigError, DataError, DetectorConfig,
 from flowsift.inject import INJECTORS, InjectionPlan, inject_latency, inject_loss
 from flowsift.latency import LatencyDetector, TypeFilter
 from flowsift.loss import LossDetector
-from flowsift.ooo import ooo_shape
+from flowsift.ooo import OooDetector, ooo_shape
 from flowsift.packets import PacketType
 from flowsift.reporter import BloomGate, CandidateLog, controller_topk, maybe_report
 from flowsift.synth import SynthConfig, synthesize
@@ -37,6 +37,18 @@ def test_budget_mapping_matches_paper_arithmetic():
     assert DetectorConfig("latency", budget_bytes=80_000, rows=5).buckets == 4000
     with pytest.raises(ConfigError):
         DetectorConfig("latency", budget_bytes=10, rows=5).validate()
+
+
+@pytest.mark.parametrize("overrides", [{"rows": 0}, {"rows": -1}, {"cache_capacity": 0},
+                                       {"cache_capacity": 1}, {"ooo_slots": 0}])
+def test_size_overrides_below_their_minimum_are_config_errors(overrides):
+    with pytest.raises(ConfigError):
+        DetectorConfig("ooo", **overrides).validate()
+
+
+def test_ooo_size_overrides_are_taken_as_given():
+    det = OooDetector.from_config(DetectorConfig("ooo", ooo_slots=3, cache_capacity=2))
+    assert (det.slots, det.cache_capacity) == (3, 2)
 
 
 def test_ooo_shape_fits_budget():

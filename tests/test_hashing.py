@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy import stats
 
 from flowsift import hashing
@@ -115,3 +116,18 @@ def test_derive_is_stable_and_stream_separated():
     c = derive_hash_pair(123, 0, hashing.STREAM_SIGN)
     assert a == b
     assert (a.a, a.b) != (c.a, c.b)
+
+
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=7),
+       st.integers(1, 2**32), st.lists(st.integers(0, 2**64 - 1), max_size=40))
+def test_stacked_batch_matches_per_pair_and_scalar_forms(seeds, buckets, folds):
+    pairs = [derive_hash_pair(s, j, hashing.STREAM_BUCKET) for j, s in enumerate(seeds)]
+    x = np.array(folds, dtype=np.uint64)
+    stacked_buckets = bucket_batch(hashing.stack(pairs), x, buckets)
+    stacked_signs = sign_batch(hashing.stack(pairs), x)
+    assert stacked_buckets.shape == stacked_signs.shape == (len(pairs), len(folds))
+    for j, pair in enumerate(pairs):
+        assert stacked_buckets[j].tolist() == bucket_batch(pair, x, buckets).tolist() \
+            == [hashing.bucket_of_fold(pair, f, buckets) for f in folds]
+        assert stacked_signs[j].tolist() == sign_batch(pair, x).tolist() \
+            == [hashing.sign_of_fold(pair, f) for f in folds]

@@ -9,7 +9,8 @@ benchmark. Entering a recording fails in that case, and so does this test.
 import sys
 from pathlib import Path
 
-from flowsift import harness, reporter
+from flowsift import harness, hashing, reporter
+from flowsift.countsketch import CountSketchTable
 from flowsift.inject import INJECTORS, InjectionPlan
 from flowsift.latency import LatencyDetector
 from flowsift.loss import LossDetector
@@ -26,6 +27,8 @@ WRAPPED_METHODS = [
     (OooDetector, "observe_trace"), (OooDetector, "topk"),
     (RetransmitDetector, "observe_trace"), (RetransmitDetector, "report"),
     (RetransmitDetector, "_admit"), (LatencyDetector, "__init__"),
+    (CountSketchTable, "update_batch"), (CountSketchTable, "estimate_batch"),
+    (CountSketchTable, "estimate"),
 ]
 
 
@@ -37,7 +40,8 @@ def test_recording_wraps_and_restores_benchmark_names():
     methods = {(cls, attr): cls.__dict__[attr] for cls, attr in WRAPPED_METHODS}
     functions = {(module, name): getattr(module, name) for module, name in
                  ((harness, "run_experiment"), (harness, "compute_relevant"),
-                  (reporter, "maybe_report"), (reporter, "controller_topk"))}
+                  (reporter, "maybe_report"), (reporter, "controller_topk"),
+                  (hashing, "bucket_batch"), (hashing, "sign_batch"))}
     tracer = Tracer()
     with tracer.recording("t"):
         for (cls, attr), orig in methods.items():
@@ -49,6 +53,7 @@ def test_recording_wraps_and_restores_benchmark_names():
         assert cls.__dict__[attr] is orig, (cls.__name__, attr)
     for (module, name), orig in functions.items():
         assert getattr(module, name) is orig, name
-    for span in ("harness.run", "oracle", "loss.observe_batch", "loss.topk"):
+    for span in ("harness.run", "oracle", "loss.observe_batch", "loss.topk",
+                 "hashing.bucket_batch", "countsketch.update_batch"):
         assert tracer.of("t", span), span
     assert len(tracer.found("t", "CandidateLog")) == 1

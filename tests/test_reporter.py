@@ -50,7 +50,8 @@ def test_insert_folds_matches_one_at_a_time_reference(data):
     pool = data.draw(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=40))
     folds = data.draw(st.lists(st.sampled_from(pool), max_size=120))
     cuts = sorted(data.draw(st.lists(st.integers(0, len(folds)), max_size=8)))
-    gate = BloomGate(bits=64, hashes=2, run_seed=data.draw(st.integers(0, 2**16)))
+    gate = BloomGate(bits=64, hashes=data.draw(st.integers(1, 6)),
+                     run_seed=data.draw(st.integers(0, 2**16)))
     got = []
     for lo, hi in zip([0] + cuts, cuts + [len(folds)]):
         chunk = np.array(folds[lo:hi], dtype=np.uint64)
