@@ -120,7 +120,9 @@ class CountSketchTable:
             return []
         matrix = np.frombuffer(b"".join(keys), dtype=np.uint8).reshape(len(keys), -1)
         values = np.abs(self.estimate_batch(hashing.fold64_matrix(matrix))).astype(float)
-        return sorted(zip(keys, values.tolist()), key=lambda item: (-item[1], item[0]))
+        # lexsort's last key is the primary one: -value, then the key bytes in order
+        order = np.lexsort((*matrix.T[::-1], -values)).tolist()
+        return [(keys[i], v) for i, v in zip(order, values[order].tolist())]
 
     # -- linearity -----------------------------------------------------------
 

@@ -81,8 +81,9 @@ class DetectorConfig:
                              (self.window_ns < 0, "window must be >= 0"),
                              (not 0 < self.epsilon < 1, "epsilon must lie in (0, 1)"),
                              (self.k_threshold <= 1, "k threshold must be > 1"),
-                             (self.cache_capacity is not None and self.cache_capacity < 2,
-                              "cache capacity must be >= 2"),
+                             (self.cache_capacity is not None
+                              and (self.cache_capacity < 2 or self.cache_capacity % 2),
+                              "cache capacity must be even and >= 2"),
                              (self.ooo_slots is not None and self.ooo_slots < 1,
                               "ooo slots must be >= 1")):
             if bad:

@@ -71,8 +71,8 @@ class RecencyCache:
 
     def __init__(self, capacity: int = 1 << 16, window_ns: int = 3_000_000,
                  *, run_seed: int = 0):
-        if capacity < 2:
-            raise ValueError("capacity must be >= 2")
+        if capacity < 2 or capacity % 2:
+            raise ValueError("capacity must be even and >= 2: two halves of capacity/2 slots")
         self.capacity = capacity
         self.window_ns = window_ns
         self.dropped = 0

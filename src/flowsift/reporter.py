@@ -64,17 +64,25 @@ class BloomGate:
         unset bit, each set and counted in ``inserted``.
 
         Folds whose bits are all set already are screened out at once
-        (bits are never cleared); the rest go one by one, because a fold
-        set earlier in the call can make a later one a false positive.
+        (bits are never cleared). Of the rest, a fold that shares no bit
+        position with another depends only on the bits set before the
+        call, so all such folds are set at once; the folds that share a
+        bit go one by one, because one set earlier in the call can make a
+        later one a false positive.
         """
         positions = self._positions(folds)
         array = self.array
-        new = []
         rest = np.flatnonzero(~array[positions].all(axis=1))
-        for i, pos in zip(rest.tolist(), positions[rest].tolist()):
+        rest_pos = positions[rest]
+        _, inverse, counts = np.unique(rest_pos, return_inverse=True, return_counts=True)
+        shared = (counts[inverse.reshape(rest_pos.shape)] > 1).any(axis=1)
+        array[rest_pos[~shared]] = True
+        new = rest[~shared].tolist()
+        for i, pos in zip(rest[shared].tolist(), rest_pos[shared].tolist()):
             if not all(array[p] for p in pos):
                 array[pos] = True
                 new.append(i)
+        new.sort()
         self.inserted += len(new)
         return new
 
@@ -210,9 +218,11 @@ class GatedSketchDetector:
             threshold = self.report_epsilon * self.table.total_l1 / 2.0
             crossing = np.flatnonzero(estimates >= threshold)
             now = int(sub.ts[-1])
-            for i in crossing[self.gate.insert_folds(hot[crossing])].tolist():
-                self.candidates.entries.append(
-                    (keys[rows[first[i]]].tobytes(), now, float(estimates[i])))
+            new = crossing[self.gate.insert_folds(hot[crossing])]
+            blob, width = keys[rows[first[new]]].tobytes(), keys.shape[1]
+            self.candidates.entries.extend(
+                (blob[j * width:(j + 1) * width], now, value)
+                for j, value in enumerate(estimates[new].astype(float).tolist()))
         return self.topk(self.candidates.keys(), k, epsilon=0.0)
 
     def controller_inputs(self) -> tuple[CandidateLog, bytes]:

@@ -26,15 +26,16 @@ from .traceio import Trace, check_time_order
 
 
 def _bit_length(values: np.ndarray) -> np.ndarray:
-    """Exact vector bit_length for uint64 (float log2 misrounds near 2^53+)."""
-    v = values.astype(np.uint64).copy()
-    width = np.zeros(v.shape, dtype=np.int64)
-    for shift in (32, 16, 8, 4, 2, 1):
-        big = v >= np.uint64(1 << shift)
-        width[big] += shift
-        v[big] >>= np.uint64(shift)
-    width[values > 0] += 1
-    return width
+    """Exact vector bit_length for uint64, from the float64 exponent.
+
+    A value with more than 53 significant bits can round up to the next
+    power of two, which reads one bit too wide; that one case is detected
+    by shifting the value down by the width less one and finding zero.
+    """
+    v = np.asarray(values, dtype=np.uint64)
+    width = np.frexp(v.astype(np.float64))[1].astype(np.int64)
+    rounded_up = ((v >> np.maximum(width - 1, 0).astype(np.uint64)) == 0) & (v > 0)
+    return width - rounded_up
 
 
 class DistinctEstimator:
@@ -170,12 +171,14 @@ class RetransmitDetector:
         self.tracked[key] = TrackedFlow(key, ts, registers=self.registers,
                                         instances=self.instances, seed=self.run_seed)
 
-    def _sweep(self) -> None:
-        """Drop every tracked flow the sketch has stopped reporting."""
+    def _sweep(self) -> set[int]:
+        """Drop every tracked flow the sketch has stopped reporting; return
+        the folds of the flows still tracked."""
         drop_thr = self.epsilon / 4.0 * self.total
         for estimate, key in self._tracked_estimates():
             if estimate < drop_thr:
                 del self.tracked[key]
+        return {flow.fold for flow in self.tracked.values()}
 
     def observe(self, packet) -> None:
         """One packet, as a trace of one."""
@@ -209,21 +212,33 @@ class RetransmitDetector:
             self.sketch.update_batch(chunk_folds, np.ones(hi - lo, dtype=np.int64))
             self.total += hi - lo
             order = np.argsort(chunk_folds, kind="stable")
-            uniq, starts = np.unique(chunk_folds[order], return_index=True)
-            bounds = np.append(starts, hi - lo)
+            ordered = chunk_folds[order]
+            head = np.empty(hi - lo, dtype=bool)    # True at each flow's first row
+            head[0] = True
+            np.not_equal(ordered[1:], ordered[:-1], out=head[1:])
+            starts = head.nonzero()[0]
+            uniq = ordered[starts]
             estimates = self.sketch.estimate_batch(uniq)
             admit_thr = self.epsilon / 2.0 * self.total
-            chunk_seqs = seqs[lo:hi]
-            self._sweep()
-            for u, est in enumerate(estimates.tolist()):
-                i = lo + int(order[starts[u]])
+            tracked_folds = self._sweep()
+            # a flow neither tracked nor at the admission threshold finds no
+            # entry and is not admitted: only the others are visited
+            in_tracked = np.fromiter(map(tracked_folds.__contains__, uniq.tolist()),
+                                     dtype=bool, count=len(uniq))
+            visit = ((estimates >= admit_thr) | in_tracked).nonzero()[0]
+            bounds = starts.tolist() + [hi - lo]
+            firsts = order[starts].tolist()         # each flow's first row in the chunk
+            ests = estimates.tolist()
+            ordered_seqs = seqs[lo:hi][order]
+            for u in visit.tolist():
+                i = lo + firsts[u]
                 key = key_blob[i * KEY_BYTES:(i + 1) * KEY_BYTES]
                 flow = self.tracked.get(key)
-                if flow is None and est >= admit_thr:
-                    self._admit(key, est, int(stamps[i]))
+                if flow is None and ests[u] >= admit_thr:
+                    self._admit(key, ests[u], int(stamps[i]))
                     flow = self.tracked.get(key)
                 if flow is not None:
-                    flow.add_batch(chunk_seqs[order[starts[u]:bounds[u + 1]]])
+                    flow.add_batch(ordered_seqs[bounds[u]:bounds[u + 1]])
 
     def report(self, k_threshold: float) -> HeavyReport:
         """Tracked flows whose ratio reaches k/4, sorted by ratio."""

@@ -331,3 +331,21 @@ def test_snapshot_round_trip_keeps_estimates(updates, shape):
     folds = np.array([fold64(k) for k in KEY_POOL], dtype=np.uint64)
     assert (back.estimate_batch(folds) == t.estimate_batch(folds)).all()
     assert back.signed_magnitudes(KEY_POOL) == t.signed_magnitudes(KEY_POOL)
+
+
+# equal-width keys over a three-byte alphabet: many share a prefix, and
+# some are equal
+tie_keys_st = st.lists(st.binary(min_size=4, max_size=4).map(
+    lambda b: bytes(c % 3 * 0x7F for c in b)), max_size=40)
+
+
+@given(tie_keys_st, st.lists(st.integers(-5, 5), min_size=40, max_size=40),
+       st.integers(1, 3), st.integers(1, 4), st.integers(0, 2**16))
+def test_signed_magnitudes_matches_sorted_reference(keys, deltas, rows, buckets, seed):
+    # a 1-4 bucket table puts most keys in shared cells, so values tie often
+    t = CountSketchTable(rows, buckets, run_seed=seed)
+    for key, delta in zip(keys, deltas):
+        t.update(key, delta)
+    reference = sorted(((key, float(abs(t.estimate(key)))) for key in keys),
+                       key=lambda item: (-item[1], item[0]))
+    assert t.signed_magnitudes(keys) == reference

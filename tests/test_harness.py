@@ -40,7 +40,8 @@ def test_budget_mapping_matches_paper_arithmetic():
 
 
 @pytest.mark.parametrize("overrides", [{"rows": 0}, {"rows": -1}, {"cache_capacity": 0},
-                                       {"cache_capacity": 1}, {"ooo_slots": 0}])
+                                       {"cache_capacity": 1}, {"ooo_slots": 0},
+                                       {"cache_capacity": 5}])    # odd: last slot unusable
 def test_size_overrides_below_their_minimum_are_config_errors(overrides):
     with pytest.raises(ConfigError):
         DetectorConfig("ooo", **overrides).validate()

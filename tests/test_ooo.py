@@ -159,6 +159,12 @@ def test_cuckoo_cache_drops_are_counted():
     assert len(cache) <= 4
 
 
+def test_odd_cache_capacity_is_rejected():
+    # two halves of capacity // 2 slots would leave the last slot unused
+    with pytest.raises(ValueError, match="even"):
+        RecencyCache(capacity=5)
+
+
 class EagerCache:
     """Reference: the same two-way cuckoo cache with eager expiry. A queue
     of (ts, key) removes every entry last seen before ts - window, and
@@ -228,8 +234,8 @@ packets_st = st.lists(st.tuples(st.integers(0, 11), st.integers(0, 6), st.intege
                       min_size=1, max_size=80)
 
 
-@given(packets_st, st.integers(2, 16), st.integers(0, 40), st.integers(0, 3),
-       st.lists(st.integers(1, 12), max_size=80))
+@given(packets_st, st.integers(1, 8).map(lambda half: 2 * half),    # even capacities 2..16
+       st.integers(0, 40), st.integers(0, 3), st.lists(st.integers(1, 12), max_size=80))
 def test_lazy_expiry_matches_eager_reference(packets, capacity, window, run_seed, sizes):
     records, ts = [], 0
     for k, seq, gap in packets:

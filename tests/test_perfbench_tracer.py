@@ -57,3 +57,19 @@ def test_recording_wraps_and_restores_benchmark_names():
                  "hashing.bucket_batch", "countsketch.update_batch"):
         assert tracer.of("t", span), span
     assert len(tracer.found("t", "CandidateLog")) == 1
+
+
+def test_traced_retransmit_run_counts_admissions_and_id_batches():
+    # the chunk loop must reach _admit and TrackedFlow.add_batch through the
+    # class attributes that the tracer replaces
+    trace, _ = synthesize(SynthConfig(flows=200, packets=4000, seed=6,
+                                      duration_ns=200_000_000))
+    plan = InjectionPlan("duplicate", 0.2, victims=10, pool=20, seed=6)
+    trace, _ = INJECTORS[plan.kind](trace, plan)
+    tracer = Tracer()
+    with tracer.recording("t"):
+        det = RetransmitDetector(buckets=256, rows=3, epsilon=0.02, run_seed=6)
+        det.observe_trace(trace, chunk=256)
+    admissions = tracer.calls[("t", "retransmit.admissions")]
+    assert admissions >= len(det.tracked) > 0
+    assert tracer.calls[("t", "retransmit.distinct_add_batch")] >= admissions

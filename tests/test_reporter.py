@@ -62,6 +62,18 @@ def test_insert_folds_matches_one_at_a_time_reference(data):
     assert gate.inserted == len(new)
 
 
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=20, max_size=20), st.integers(0, 2**16))
+def test_one_call_on_eight_bits_matches_one_at_a_time(folds, run_seed):
+    # 20 folds on 8 bits with one hash: most share a bit with another, and
+    # those that share none are decided together
+    gate = BloomGate(bits=8, hashes=1, run_seed=run_seed)
+    got = gate.insert_folds(np.array(folds, dtype=np.uint64))
+    new, bits = _one_at_a_time(gate, folds)
+    assert got == new
+    assert gate.array.tolist() == bits
+    assert gate.inserted == len(new)
+
+
 def test_insert_folds_refuses_false_positives_within_one_call(rng):
     # every bit starts clear, so each refusal below is set up by an
     # earlier fold of the same call

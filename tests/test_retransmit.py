@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from flowsift.retransmit import DistinctEstimator, RetransmitDetector
-from flowsift.traceio import Trace
+from flowsift import hashing
+from flowsift.packets import KEY_BYTES, PacketType
+from flowsift.retransmit import DistinctEstimator, RetransmitDetector, _bit_length
+from flowsift.traceio import Trace, check_time_order
 
 from conftest import data_packet, flow_stream, make_key
 
@@ -175,3 +178,93 @@ def test_timestamps_going_back_are_rejected():
         det.observe_trace(trace.select(np.arange(200)))
     with pytest.raises(ValueError, match="time-sorted"):
         det.observe(records[0])
+
+
+def _check_bit_length(values):
+    got = _bit_length(np.array(values, dtype=np.uint64)).tolist()
+    assert got == [v.bit_length() for v in values]
+
+
+def test_bit_length_at_powers_of_two_and_float_rounding_edges():
+    # above 2^53 a float64 can round a value up to the next power of two
+    values = [0, 2**64 - 1, 2**64 - 2, 2**64 - 2**11, 2**64 - 2**11 - 1]
+    values += [v for k in range(1, 64) for v in (2**k - 1, 2**k, 2**k + 1)]
+    values += [2**53 + d for d in range(-8, 9)] + [2**54 + d for d in range(-8, 9)]
+    _check_bit_length(values)
+
+
+@given(st.lists(st.integers(0, 2**64 - 1), max_size=50))
+def test_bit_length_matches_int_bit_length(values):
+    _check_bit_length(values)
+
+
+class VisitEveryFlow(RetransmitDetector):
+    """Reference: the chunk loop that visits every distinct flow of a chunk."""
+
+    def observe_trace(self, trace: Trace, chunk: int = 4096) -> None:
+        data = trace.select(trace.ptype == int(PacketType.DATA))
+        check_time_order(data.ts, self._last_ts, "retransmission detection")
+        self.skipped += len(trace) - len(data)
+        if len(data) == 0:
+            return
+        self._last_ts = int(data.ts[-1])
+        keys = data.key_matrix()
+        folds = hashing.fold64_matrix(keys)
+        key_blob = keys.tobytes()
+        seqs = data.seq.astype(np.uint64)
+        stamps = data.ts
+        for lo in range(0, len(data), chunk):
+            hi = min(lo + chunk, len(data))
+            chunk_folds = folds[lo:hi]
+            self.sketch.update_batch(chunk_folds, np.ones(hi - lo, dtype=np.int64))
+            self.total += hi - lo
+            order = np.argsort(chunk_folds, kind="stable")
+            uniq, starts = np.unique(chunk_folds[order], return_index=True)
+            bounds = np.append(starts, hi - lo)
+            estimates = self.sketch.estimate_batch(uniq)
+            admit_thr = self.epsilon / 2.0 * self.total
+            chunk_seqs = seqs[lo:hi]
+            self._sweep()
+            for u, est in enumerate(estimates.tolist()):
+                i = lo + int(order[starts[u]])
+                key = key_blob[i * KEY_BYTES:(i + 1) * KEY_BYTES]
+                flow = self.tracked.get(key)
+                if flow is None and est >= admit_thr:
+                    self._admit(key, est, int(stamps[i]))
+                    flow = self.tracked.get(key)
+                if flow is not None:
+                    flow.add_batch(chunk_seqs[order[starts[u]:bounds[u + 1]]])
+
+
+# bursts of (key index, packets, first id, gap to the previous packet): few
+# keys and repeated ids. A burst can get a flow admitted early and later
+# ones dilute it below the admission threshold while it stays tracked.
+rtx_bursts_st = st.lists(st.tuples(st.integers(0, 7), st.integers(1, 12), st.integers(0, 5),
+                                   st.integers(0, 3)), min_size=1, max_size=30)
+
+
+@given(rtx_bursts_st, st.integers(1, 64), st.integers(0, 150), st.integers(0, 2**16))
+def test_chunk_loop_matches_visit_every_flow_reference(bursts, chunk, cut, run_seed):
+    # epsilon 0.5 with no slack: capacity 4, admission at a quarter and
+    # discontinuation at an eighth of the total, so admissions, capacity
+    # evictions and sweeps all occur
+    records, ts = [], 0
+    for k, size, first, gap in bursts:
+        for j in range(size):
+            ts += gap
+            records.append(data_packet(make_key(k), first + j // 2, ts))
+    trace = Trace.from_records(records)
+    shape = dict(buckets=8, rows=3, run_seed=run_seed, epsilon=0.5, capacity_slack=0,
+                 registers=16)
+    det, ref = RetransmitDetector(**shape), VisitEveryFlow(**shape)
+    for part in (np.arange(min(cut, len(trace))), np.arange(min(cut, len(trace)), len(trace))):
+        det.observe_trace(trace.select(part), chunk=chunk)
+        ref.observe_trace(trace.select(part), chunk=chunk)
+    assert list(det.tracked) == list(ref.tracked)
+    assert det.total == ref.total
+    assert det.report(1.5).entries == ref.report(1.5).entries
+    for key, flow in det.tracked.items():
+        other = ref.tracked[key]
+        assert (flow.n, flow.since_ts) == (other.n, other.since_ts)
+        for est, other_est in zip(flow.estimators, other.estimators, strict=True):
+            assert est.registers.tolist() == other_est.registers.tolist()
