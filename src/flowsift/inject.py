@@ -6,7 +6,10 @@ are drawn from the heaviest flows by data-packet count, ranked from one
 ``flow_groups`` pass; the pool size and draw count are plan parameters.
 Injected latency is drawn once per flow, so a victim's delay is constant
 across its packets. An injector that moves or adds records re-sorts with
-``Trace.time_sorted``, whose full ties keep input order.
+``Trace.time_sorted``, whose full ties keep input order. The reorder
+injector reads each victim's true out-of-order weight from ``oracle_ooo``
+run on the victims' rows alone: the oracle is per flow, and those rows,
+time-sorted on their own, keep their order in the output trace.
 """
 
 from __future__ import annotations
@@ -156,11 +159,13 @@ def inject_reorder(trace: Trace, plan: InjectionPlan,
                    delay_ns: int = REORDER_DELAY_NS,
                    window_ns: int = 3_000_000) -> tuple[Trace, dict]:
     """Delay sampled victim DATA packets by 5 ms to break packet order."""
-    victims, _, sampled = _sample_victim_data(trace, plan)
+    victims, victim_idx, sampled = _sample_victim_data(trace, plan)
     arr = trace.arr.copy()
     arr["ts"][sampled] = arr["ts"][sampled] + np.uint64(delay_ns)
     out = Trace(arr).time_sorted()
-    weights = oracle_ooo(out, window_ns=window_ns)
+    # per-flow oracle: the victims' rows alone carry the same weights
+    weights = oracle_ooo(Trace(arr).select(victim_idx >= 0).time_sorted(),
+                         window_ns=window_ns)
     return out, _manifest(plan, out, victims, [plan.magnitude] * len(victims),
                           [weights.get(v, 0) for v in victims])
 

@@ -11,6 +11,9 @@ Every oracle groups the trace by flow once with a stable sort
 records stay in stream order, then works on whole segments: ``reduceat``
 per flow, a running max that restarts at each session start, and
 per-flow ranks of requests and responses. No oracle loops over flows.
+The grouping sort is a radix sort of the key bytes whose passes are
+``traceio.stable_order`` packed-key sorts; its order is exactly the
+stable argsort of the keys' bytes.
 """
 
 from __future__ import annotations
@@ -20,9 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .packets import PacketType
-from .traceio import KEY_VOID, Trace
-
-_KEY26 = np.dtype((np.void, 26))
+from .traceio import Trace, stable_order
 
 
 class RttOracle(NamedTuple):
@@ -44,10 +45,26 @@ def _run_starts(ordered: np.ndarray) -> np.ndarray:
     return np.flatnonzero(new)
 
 
-def _groups(view: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Stable sort of a void key view: (order, starts of each key's run)."""
-    order = np.argsort(view, kind="stable")
-    return order, _run_starts(view[order])
+def _groups(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Stable grouping of (n, w) uint8 key rows: (order, starts of each key's
+    run, the distinct keys as void-w values in ascending byte order).
+
+    ``order`` is the stable argsort of the rows' void view, found by a
+    least-significant-digit radix sort: the key bytes are cut into
+    big-endian digits narrow enough to pack beside the row index, and
+    ``stable_order`` sorts by each digit in turn, the last digit first.
+    """
+    n, width = matrix.shape
+    step = (64 - max(n - 1, 1).bit_length()) // 8       # digit bytes
+    order = np.arange(n)
+    for lo in reversed(range(0, width, step)):
+        part = matrix[:, lo:lo + step]
+        digit = np.zeros((n, 8), dtype=np.uint8)
+        digit[:, 8 - part.shape[1]:] = part
+        order = order[stable_order(digit.view(">u8").ravel()[order])]
+    ordered = np.ascontiguousarray(matrix).view((np.void, width)).ravel()[order]
+    starts = _run_starts(ordered)
+    return order, starts, ordered[starts]
 
 
 def flow_groups(trace: Trace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -55,12 +72,12 @@ def flow_groups(trace: Trace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     Returns (order, starts, keys): ``order`` holds the trace's DATA row
     indices flow by flow, flow g's rows are ``order[starts[g]:starts[g+1]]``,
-    and ``keys`` are the flows' void-13 keys in ascending byte order.
+    and ``keys`` are the flows' void-13 keys in ascending byte order. The
+    grouping is ``_groups``' radix sort of the DATA rows' key bytes.
     """
     data = np.flatnonzero(trace.ptype == int(PacketType.DATA))
-    view = np.ascontiguousarray(trace.key_matrix()[data]).view(KEY_VOID).ravel()
-    order, starts = _groups(view)
-    return data[order], starts, view[order[starts]]
+    order, starts, keys = _groups(trace.key_matrix()[data])
+    return data[order], starts, keys
 
 
 def _group_ids(starts: np.ndarray, n: int) -> np.ndarray:
@@ -88,9 +105,7 @@ def oracle_rtt(trace: Trace, type_filter=None, *, time_unit_ns: int = 1000,
                        [int(t) for t in (type_filter.requests | type_filter.responses)])
     sub = trace.select(admitted)
     matrix, fwd = sub.canonical_matrix()
-    view = np.ascontiguousarray(matrix).view(_KEY26).ravel()
-    order, starts = _groups(view)
-    keys = view[order[starts]]
+    order, starts, keys = _groups(matrix)
     t = ((sub.ts.astype(np.int64) - epoch_start_ns) // time_unit_ns)[order]
     sums = np.add.reduceat(np.where(fwd[order], t, -t), starts)
     accumulated = {k.tobytes(): abs(s) for k, s in zip(keys, sums.tolist())}

@@ -38,6 +38,22 @@ def _bit_length(values: np.ndarray) -> np.ndarray:
     return width - rounded_up
 
 
+def _register_ranks(hashes: hashing.HashStack, values: np.ndarray,
+                    p: int) -> tuple[np.ndarray, np.ndarray]:
+    """(register index, leading-zero rank) of every value under each of h
+    hash pairs, both of shape (h, n), for 2^p registers."""
+    # avalanche finalizer: plain a*x+b leaves arithmetic structure in
+    # sequential ids, which wrecks the leading-zero statistics
+    z = hashing._affine(hashes, values)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    h = z ^ (z >> np.uint64(31))
+    idx = (h >> np.uint64(64 - p)).astype(np.int64)
+    rest = h & np.uint64((1 << (64 - p)) - 1)
+    rank = ((64 - p) - _bit_length(rest) + 1).astype(np.uint8)
+    return idx, rank
+
+
 class DistinctEstimator:
     """Max-of-leading-zero-rank registers with harmonic-mean readout.
 
@@ -61,17 +77,8 @@ class DistinctEstimator:
             self.alpha = {16: 0.673, 32: 0.697, 64: 0.709}[registers]
 
     def add_batch(self, values: np.ndarray) -> None:
-        # avalanche finalizer: plain a*x+b leaves arithmetic structure in
-        # sequential ids, which wrecks the leading-zero statistics
-        z = hashing._affine(self._hash, values)
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-        h = z ^ (z >> np.uint64(31))
-        idx = (h >> np.uint64(64 - self.p)).astype(np.int64)
-        rest = h & np.uint64((1 << (64 - self.p)) - 1)
-        width = _bit_length(rest)
-        rank = ((64 - self.p) - width + 1).astype(np.uint8)
-        np.maximum.at(self.registers, idx, rank)
+        idx, rank = _register_ranks(hashing.stack([self._hash]), values, self.p)
+        np.maximum.at(self.registers, idx[0], rank[0])
 
     def estimate(self) -> float:
         if not self.registers.any():
@@ -114,11 +121,15 @@ class TrackedFlow:
         self._pending.append(seqs)
 
     def _flush(self) -> None:
+        """Hash the buffered ids for every instance at once, then fold each
+        instance's ranks into its registers."""
         if self._pending:
             seqs = np.concatenate(self._pending)
             self._pending.clear()
-            for est in self.estimators:
-                est.add_batch(seqs)
+            hashes = hashing.stack([est._hash for est in self.estimators])
+            idx, rank = _register_ranks(hashes, seqs, self.estimators[0].p)
+            for est, est_idx, est_rank in zip(self.estimators, idx, rank):
+                np.maximum.at(est.registers, est_idx, est_rank)
 
     def distinct(self) -> float:
         """Median across the independent estimator instances."""

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .packets import PacketType
-from .traceio import RECORD_DTYPE, Trace, write_trace
+from .traceio import RECORD_DTYPE, Trace, stable_order, write_trace
 
 ACK_SIZE = 40
 HANDSHAKE_SIZE = 60
@@ -100,8 +100,8 @@ def synthesize(cfg: SynthConfig) -> tuple[Trace, dict]:
     # data-packet timestamps: uniform over the epoch, ordered within a flow
     margin = cfg.rtt_max_ns + 1
     ts = rng.integers(0, cfg.duration_ns - margin, n, dtype=np.int64)
-    order = np.lexsort((ts, flow_of))
-    ts = ts[order]
+    by_ts = stable_order(ts)          # np.lexsort((ts, flow_of)) as two stable passes
+    ts = ts[by_ts[stable_order(flow_of[by_ts])]]
     starts = np.zeros(cfg.flows, dtype=np.int64)
     starts[1:] = np.cumsum(sizes)[:-1]
     seq = np.arange(n, dtype=np.int64) - starts[flow_of] + 1

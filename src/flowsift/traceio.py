@@ -114,10 +114,11 @@ class Trace:
 
     def time_sorted(self) -> "Trace":
         """Stable sort by (ts, src, dst, sport, dport, ptype, seq), full ties in
-        input order: one stable argsort on ts, then a lexsort by all seven
-        columns of only the rows that share a timestamp."""
+        input order: one ``stable_order`` on ts (a packed-key sort whenever
+        the timestamp span and the row count fit 64 bits together), then a
+        lexsort by all seven columns of only the rows that share a timestamp."""
         a = self._arr
-        order = np.argsort(a["ts"], kind="stable")
+        order = stable_order(a["ts"])
         same = np.diff(a["ts"][order]) == 0
         at = np.flatnonzero(np.r_[same, False] | np.r_[False, same])
         rows = a[order[at]]
@@ -167,6 +168,32 @@ class Trace:
         """(n, 42) uint8 view of the packed records (a copy if strided)."""
         a = np.ascontiguousarray(self._arr)
         return a.view(np.uint8).reshape(len(a), RECORD_BYTES)
+
+
+def stable_order(values: np.ndarray) -> np.ndarray:
+    """``np.argsort(values, kind="stable")`` for an integer array.
+
+    When the span max - min and the row index fit in 64 bits together,
+    each row becomes the one uint64 ``(value - min) << index_bits | row``:
+    these are distinct, so any sort gives the stable order, and numpy's
+    vectorised quicksort sorts them several times faster than a stable
+    argsort. Wider spans fall back to the stable argsort.
+    """
+    values = np.asarray(values)
+    n = len(values)
+    if n < 2:
+        return np.arange(n, dtype=np.intp)
+    low = int(values.min())
+    index_bits = (n - 1).bit_length()
+    if (int(values.max()) - low).bit_length() + index_bits > 64:
+        return np.argsort(values, kind="stable")
+    packed = values.astype(np.uint64)
+    packed -= np.uint64(low % (1 << 64))    # modulo 2^64, exact since the span fits
+    packed <<= np.uint64(index_bits)
+    packed |= np.arange(n, dtype=np.uint64)
+    packed.sort()
+    packed &= np.uint64((1 << index_bits) - 1)
+    return packed.view(np.intp)
 
 
 def check_time_order(stamps: np.ndarray, last: int, needed_by: str) -> None:

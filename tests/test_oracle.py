@@ -1,8 +1,9 @@
 import numpy as np
+import pytest
 from hypothesis import example, given, strategies as st
 
 from flowsift.latency import TypeFilter
-from flowsift.oracle import (RtxStats, oracle_loss, oracle_ooo, oracle_rtt,
+from flowsift.oracle import (RtxStats, _groups, oracle_loss, oracle_ooo, oracle_rtt,
                              oracle_rtx, relevant_topk)
 from flowsift.packets import PacketRecord, PacketType, canonicalize
 from flowsift.traceio import Trace
@@ -260,3 +261,49 @@ def test_rtt_matches_per_pair_reference(rows, filter_name, unit, epoch):
     accumulated, matched = rtt_reference(records, type_filter, unit, epoch)
     assert got.accumulated == accumulated
     assert got.matched == matched
+
+
+def check_groups(matrix):
+    """``_groups`` against the stable argsort of the rows' void view."""
+    view = np.ascontiguousarray(matrix).view((np.void, matrix.shape[1])).ravel()
+    reference = np.argsort(view, kind="stable")
+    ordered = view[reference].tolist()
+    order, starts, keys = _groups(matrix)
+    assert order.tolist() == reference.tolist()
+    assert starts.tolist() == [i for i in range(len(ordered))
+                               if i == 0 or ordered[i] != ordered[i - 1]]
+    assert keys.tolist() == sorted(set(ordered))
+
+
+@st.composite
+def shared_prefix_keys(draw):
+    """Rows of 13- or 26-byte keys that all start with the same bytes and
+    differ only from byte ``first`` on (8, the last byte, or 5 to straddle
+    the radix digits), with rows repeated."""
+    width = draw(st.sampled_from([13, 26]))
+    first = draw(st.sampled_from([8, width - 1, 5]))
+    base = draw(st.binary(min_size=width, max_size=width))
+    keys = []
+    for edits in draw(st.lists(st.lists(st.tuples(st.integers(first, width - 1),
+                                                  st.integers(0, 255)), max_size=3),
+                               min_size=1, max_size=6)):
+        key = bytearray(base)
+        for pos, value in edits:
+            key[pos] = value
+        keys.append(bytes(key))
+    rows = draw(st.lists(st.sampled_from(keys), max_size=60))
+    return np.frombuffer(b"".join(rows), dtype=np.uint8).reshape(-1, width)
+
+
+@given(shared_prefix_keys())
+def test_groups_match_stable_argsort_of_key_bytes(matrix):
+    check_groups(matrix)
+
+
+@pytest.mark.parametrize("rows", [300, 70_000])   # 6- and 5-byte radix digits
+@pytest.mark.parametrize("width", [13, 26])
+def test_groups_match_stable_argsort_at_wider_row_counts(rows, width):
+    rng = np.random.default_rng(rows + width)
+    keys = np.tile(rng.integers(0, 256, width, dtype=np.uint8), (40, 1))
+    keys[:, -6:] = rng.integers(0, 4, (40, 6))      # a shared prefix, a small tail
+    check_groups(keys[rng.integers(0, 40, rows)])

@@ -2,12 +2,13 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from flowsift.packets import (Epoch, FlowKey, PacketRecord, PacketType,
                               canonicalize, key_bytes)
 from flowsift.traceio import (RECORD_DTYPE, Trace, load_trace, read_trace,
-                              read_trace_text, write_trace, write_trace_text)
+                              read_trace_text, stable_order, write_trace,
+                              write_trace_text)
 
 from conftest import data_packet, make_key, random_keys
 
@@ -168,18 +169,56 @@ def test_select_rejects_a_mask_of_another_length(small_trace):
 _SORT_COLUMNS = ("ts", "src", "dst", "sport", "dport", "ptype", "seq", "proto", "ack", "size")
 
 
-@given(st.lists(st.tuples(st.integers(0, 20), *(st.integers(0, 2) for _ in range(6)),
+# timestamps near 0 or near 2^64: a trace of one kind takes the packed sort,
+# a trace mixing both spans 64 bits and takes the stable-argsort fallback
+_TIMESTAMPS = st.one_of(st.integers(0, 20), st.integers((1 << 64) - 21, (1 << 64) - 1))
+
+
+@given(st.lists(st.tuples(_TIMESTAMPS, *(st.integers(0, 2) for _ in range(6)),
                           st.integers(0, 255), st.integers(0, 9), st.integers(0, 9)),
                 max_size=40),
        st.lists(st.integers(0, 39), max_size=8))
 def test_time_sorted_matches_seven_column_lexsort(rows, duplicates):
     arr = np.zeros(len(rows), dtype=RECORD_DTYPE)
-    for col, values in zip(_SORT_COLUMNS, np.array(rows, dtype=np.int64).reshape(-1, 10).T):
-        arr[col] = values
+    for j, col in enumerate(_SORT_COLUMNS):
+        arr[col] = [row[j] for row in rows]
     arr = np.concatenate([arr, arr[[i for i in duplicates if i < len(arr)]]])
     reference = arr[np.lexsort((arr["seq"], arr["ptype"], arr["dport"], arr["sport"],
                                 arr["dst"], arr["src"], arr["ts"]))]
     assert Trace(arr).time_sorted().arr.tobytes() == reference.tobytes()
+
+
+_INTEGER_RANGES = {"int64": (-(1 << 63), (1 << 63) - 1), "uint64": (0, (1 << 64) - 1)}
+
+
+@st.composite
+def _tied_integer_arrays(draw):
+    """int64 or uint64 arrays over a pool of at most six values, so rows tie;
+    the pool lies within 40 of one base value, or anywhere in the range."""
+    dtype = draw(st.sampled_from(sorted(_INTEGER_RANGES)))
+    low, high = _INTEGER_RANGES[dtype]
+    if draw(st.booleans()):
+        base = draw(st.integers(low, high - 40))
+        low, high = base, base + 40
+    pool = draw(st.lists(st.integers(low, high), min_size=1, max_size=6))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), max_size=80))
+    return np.array([pool[i] for i in picks], dtype=dtype)
+
+
+@given(_tied_integer_arrays())
+@example(np.array([0, (1 << 64) - 1, 0, (1 << 64) - 1, 7], dtype=np.uint64))  # 64-bit span
+@example(np.array([0, (1 << 63) - 1], dtype=np.uint64))   # 63 + 1 bits: packed
+@example(np.array([1 << 63, 0], dtype=np.uint64))         # 64 + 1 bits: fallback
+@example(np.array([-(1 << 63), (1 << 63) - 1, -1, 0, -(1 << 63)], dtype=np.int64))
+@example(np.array([-5, 3, -5, 1 << 40, -(1 << 40), 3], dtype=np.int64))
+@example(np.array([], dtype=np.int64))
+@example(np.array([], dtype=np.uint64))
+@example(np.array([(1 << 64) - 1], dtype=np.uint64))
+@example(np.array([-3], dtype=np.int64))
+def test_stable_order_matches_stable_argsort(values):
+    order = stable_order(values)
+    assert order.dtype == np.intp
+    assert order.tolist() == np.argsort(values, kind="stable").tolist()
 
 
 def test_sha256_is_digest_of_file_bytes(tmp_path, small_trace):

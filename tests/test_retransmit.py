@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -183,6 +185,35 @@ def test_timestamps_going_back_are_rejected():
 def _check_bit_length(values):
     got = _bit_length(np.array(values, dtype=np.uint64)).tolist()
     assert got == [v.bit_length() for v in values]
+
+
+def test_registers_are_pinned():
+    # pinned from the per-instance hashing, so any change to the register
+    # hashing that moves one byte fails
+    est = DistinctEstimator(1024, seed=7)
+    est.add_batch(np.arange(1, 5001, dtype=np.uint64))
+    est.add_batch(np.array([2**64 - 1, 0, 2**63], dtype=np.uint64))
+    assert hashlib.sha256(est.registers.tobytes()).hexdigest() == \
+        "2675c1ea9764fb308c2cde7553703ae5a679dca70e6b757e47a84f4d4c9680c0"
+
+
+@given(st.lists(st.lists(st.integers(0, (1 << 64) - 1), max_size=40), max_size=4),
+       st.sampled_from([16, 256, 1024]), st.integers(1, 4), st.integers(0, (1 << 64) - 1))
+def test_stacked_flush_matches_one_add_batch_per_instance(batches, registers, instances,
+                                                          seed):
+    from flowsift.retransmit import TrackedFlow
+    flow = TrackedFlow(b"k" * KEY_BYTES, 0, registers=registers, instances=instances,
+                       seed=seed)
+    alone = [DistinctEstimator(registers, seed=seed ^ flow.fold ^ (i * hashing.GOLDEN64))
+             for i in range(instances)]
+    for batch in batches:
+        values = np.array(batch, dtype=np.uint64)
+        flow.add_batch(values)
+        for est in alone:
+            est.add_batch(values)
+    flow.distinct()                     # flushes the buffered ids
+    for est, ref in zip(flow.estimators, alone):
+        assert est.registers.tobytes() == ref.registers.tobytes()
 
 
 def test_bit_length_at_powers_of_two_and_float_rounding_edges():
