@@ -13,8 +13,7 @@ from .hashing import HashPair, derive_hash_pair
 from .latency import LatencyDetector, TypeFilter
 from .loss import LossDetector, loss_count_estimate
 from .ooo import OooDetector, RecencyCache, TopTable
-from .packets import (CanonicalPair, Epoch, FlowKey, PacketRecord, PacketType,
-                      canonicalize, key_bytes)
+from .packets import CanonicalPair, FlowKey, PacketRecord, PacketType, canonicalize
 from .reporter import BloomGate, CandidateLog, ExactGate, controller_topk, maybe_report
 from .reports import HeavyReport
 from .retransmit import DistinctEstimator, RetransmitDetector
@@ -25,11 +24,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BloomGate", "CandidateLog", "CanonicalPair", "CountSketchTable",
-    "DistinctEstimator", "Epoch", "ExactGate", "FlowKey", "FrameworkSketch",
+    "DistinctEstimator", "ExactGate", "FlowKey", "FrameworkSketch",
     "HashPair", "HeavyReport", "LatencyDetector", "LossDetector",
     "OooDetector", "PacketRecord", "PacketType", "RecencyCache",
     "RetransmitDetector", "SynthConfig", "TopTable", "Trace", "TypeFilter",
     "canonicalize", "controller_topk", "derive_hash_pair", "flow_id32",
-    "key_bytes", "load_trace", "loss_count_estimate", "maybe_report",
-    "read_trace", "synthesize", "timestamp_weights", "write_trace",
+    "load_trace", "loss_count_estimate", "maybe_report", "read_trace",
+    "synthesize", "timestamp_weights", "write_trace",
 ]

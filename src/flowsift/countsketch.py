@@ -24,6 +24,7 @@ import numpy as np
 
 from . import hashing
 from .hashing import HashPair
+from .reports import rank_order
 
 _SNAPSHOT_MAGIC = b"LMCS"
 _SNAPSHOT_VERSION = 1
@@ -64,15 +65,6 @@ class CountSketchTable:
         self._row_stack = hashing.stack(self.row_hashes)
         self._sign_stack = hashing.stack(self.sign_hashes)
         self._row_offsets = np.arange(rows)[:, None] * buckets
-
-    @classmethod
-    def from_epsilon_delta(cls, epsilon: float, delta: float, **kw) -> "CountSketchTable":
-        """B = ceil(9 / eps^2), R = ceil(log2(1 / delta))."""
-        if not (0 < epsilon < 1 and 0 < delta < 1):
-            raise ValueError("epsilon and delta must lie in (0, 1)")
-        buckets = int(np.ceil(9.0 / (epsilon * epsilon)))
-        rows = max(1, int(np.ceil(np.log2(1.0 / delta))))
-        return cls(rows, buckets, **kw)
 
     @property
     def epsilon(self) -> float:
@@ -115,13 +107,12 @@ class CountSketchTable:
     # -- queries -------------------------------------------------------------
 
     def signed_magnitudes(self, keys: list[bytes]) -> list[tuple[bytes, float]]:
-        """(key, |signed-median estimate|) of equal-width keys, largest first, ties by key."""
+        """(key, |signed-median estimate|) of equal-width keys, in ``rank_order``."""
         if not keys:
             return []
         matrix = np.frombuffer(b"".join(keys), dtype=np.uint8).reshape(len(keys), -1)
         values = np.abs(self.estimate_batch(hashing.fold64_matrix(matrix))).astype(float)
-        # lexsort's last key is the primary one: -value, then the key bytes in order
-        order = np.lexsort((*matrix.T[::-1], -values)).tolist()
+        order = rank_order(matrix, values).tolist()
         return [(keys[i], v) for i, v in zip(order, values[order].tolist())]
 
     # -- linearity -----------------------------------------------------------

@@ -77,20 +77,16 @@ class FrameworkSketch:
         return [RecoveredFlow(flow_id, float(margin), bucket) for flow_id, margin, bucket
                 in zip(ids.tolist(), margins.tolist(), touched.tolist())]
 
-    def recover(self) -> list[int]:
-        return [r.flow_id for r in self.recover_detailed()]
 
-
-def timestamp_weights(trace: Trace, epoch_start_ns: int = 0,
-                      time_unit_ns: int = 1000) -> np.ndarray:
-    """Signed epoch-relative timestamps: responses (ACK, SYNACK) add,
-    everything else subtracts.
+def timestamp_weights(trace: Trace, time_unit_ns: int = 1000) -> np.ndarray:
+    """Signed timestamps: responses (ACK, SYNACK) add, everything else
+    subtracts.
 
     Within one bucket pair this is the latency detector's trick: over a
     flow's matched request/response pairs the sum telescopes to the
     flow's total round-trip time.
     """
-    t = (trace.ts.astype(np.int64) - epoch_start_ns) // time_unit_ns
+    t = trace.ts.astype(np.int64) // time_unit_ns
     return np.where(np.isin(trace.ptype, _RESPONSES), t, -t)
 
 

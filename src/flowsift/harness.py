@@ -136,14 +136,13 @@ def _score(returned: list[bytes], relevant: list[bytes]) -> tuple[float, float]:
 def compute_relevant(trace: Trace, cfg: DetectorConfig, k: int) -> list[bytes]:
     """Oracle top-k for a detector kind: the relevant set for scoring."""
     if cfg.kind == "latency":
-        oracle = oracle_rtt(trace, TypeFilter.named(cfg.type_filter),
-                            time_unit_ns=cfg.time_unit_ns)
-        return relevant_topk(oracle.matched, k)
+        return relevant_topk(oracle_rtt(trace, TypeFilter.named(cfg.type_filter),
+                                        time_unit_ns=cfg.time_unit_ns), k)
     if cfg.kind == "loss":
         return relevant_topk(oracle_loss(trace), k)
     if cfg.kind == "ooo":
         return relevant_topk(oracle_ooo(trace, cfg.window_ns, cfg.weight_mode), k)
-    defects = {key: stats for key, stats in oracle_rtx(trace).items()
+    defects = {key: stats.avg_retransmissions for key, stats in oracle_rtx(trace).items()
                if stats.avg_retransmissions > 1.0}
     return relevant_topk(defects, k)
 

@@ -57,8 +57,10 @@ class InjectionPlan:
 def rank_flows(trace: Trace) -> tuple[np.ndarray, np.ndarray]:
     """Distinct data-direction keys ranked by data-packet count.
 
-    Returns (keys as a void-13 array, counts), heaviest first; ties
-    break on key bytes.
+    Returns (keys as a void-13 array, counts) in ``reports.rank_order``:
+    heaviest first, ties by key bytes ascending. One lexsort over the void
+    keys does it: they arrive byte-sorted from ``flow_groups``, which makes
+    it ~3x faster here than a lexsort of the 13 byte columns.
     """
     order, starts, keys = flow_groups(trace)
     counts = np.diff(starts, append=len(order))

@@ -1,15 +1,15 @@
 """Detector for flows whose cumulative round-trip time is heavy.
 
 Each filtered packet updates the sketch under the flow's canonical
-endpoint pair with a signed, epoch-relative timestamp: positive when
-the packet traveled lo -> hi, negative otherwise. A matched
-request/response pair therefore telescopes to its round-trip time,
-and the magnitude estimate of a flow approaches its total RTT.
+endpoint pair with a signed timestamp: positive when the packet
+traveled lo -> hi, negative otherwise. A matched request/response pair
+therefore telescopes to its round-trip time, and the magnitude estimate
+of a flow approaches its total RTT.
 
-An unmatched request leaves its own (epoch-relative) timestamp in the
-flow's estimate: the documented overestimation mode. The default type
-filter pairs only SYN with SYNACK, which keeps one pair per connection
-and minimizes exposure to missing ACKs; DATA/ACK pairing is opt-in.
+An unmatched request leaves its own timestamp in the flow's estimate:
+the documented overestimation mode. The default type filter pairs only
+SYN with SYNACK, which keeps one pair per connection and minimizes
+exposure to missing ACKs; DATA/ACK pairing is opt-in.
 """
 
 from __future__ import annotations
@@ -58,14 +58,12 @@ class LatencyDetector(GatedSketchDetector):
     """Signed-timestamp sketch over canonical flow pairs.
 
     time_unit_ns scales timestamps into counter units (default 1 us,
-    which keeps minute-long epochs inside 63-bit sums); timestamps are
-    made epoch-relative before scaling. The gate evaluates flows that
-    carried a response.
+    which keeps minute-long epochs inside 63-bit sums). The gate
+    evaluates flows that carried a response.
     """
 
     type_filter: TypeFilter = field(default_factory=TypeFilter.syn_handshake)
     time_unit_ns: int = 1000
-    epoch_start_ns: int = 0
 
     @classmethod
     def from_config(cls, cfg) -> "LatencyDetector":
@@ -89,13 +87,9 @@ class LatencyDetector(GatedSketchDetector):
                            [int(t) for t in (self.type_filter.requests | self.type_filter.responses)])
         self.skipped += int(len(trace) - admitted.sum())
         sub = trace.select(admitted)
-        ts = sub.ts.astype(np.int64)
-        if ts.min(initial=np.iinfo(np.int64).max) < self.epoch_start_ns:
-            bad = int((ts < self.epoch_start_ns).sum())
-            raise ValueError(f"{bad} timestamps earlier than epoch start {self.epoch_start_ns}")
         matrix, fwd = sub.canonical_matrix()
         folds = hashing.fold64_matrix(matrix)
-        mag = (ts - self.epoch_start_ns) // self.time_unit_ns
+        mag = sub.ts.astype(np.int64) // self.time_unit_ns
         self.table.update_batch(folds, np.where(fwd, mag, -mag))
         return admitted, matrix, folds
 

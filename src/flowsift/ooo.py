@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 from . import hashing
 from .packets import PacketType
-from .reports import HeavyReport
+from .reports import HeavyReport, ranked
 from .traceio import KEY_VOID, Trace, check_time_order
 
 # Accounting per entry/slot, in bytes: key plus the stated payload.
@@ -249,8 +249,7 @@ class OooDetector:
             absorb(key, weight)
 
     def topk(self, k: int) -> HeavyReport:
-        entries = [(key, w) for key, w in self.table.occupied() if w > 0]
-        entries.sort(key=lambda item: (-item[1], item[0]))
+        entries = ranked([(key, w) for key, w in self.table.occupied() if w > 0])
         entries = [(key, float(w)) for key, w in entries[:k]]
         return HeavyReport("ooo", entries, total=float(self.table.total_weight),
                            threshold=self.epsilon * self.table.total_weight)

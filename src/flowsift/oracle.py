@@ -23,19 +23,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .packets import PacketType
+from .reports import ranked
 from .traceio import Trace, stable_order
-
-
-class RttOracle(NamedTuple):
-    """Both round-trip accountings, keyed by canonical pair bytes.
-
-    ``accumulated`` mirrors the sketch's semantics (unmatched requests
-    leave their timestamps in; the documented overestimation mode);
-    ``matched`` sums response-minus-request over FIFO-matched pairs only.
-    """
-
-    accumulated: dict[bytes, int]
-    matched: dict[bytes, int]
 
 
 def _run_starts(ordered: np.ndarray) -> np.ndarray:
@@ -96,20 +85,19 @@ def _by_key(keys: np.ndarray, values: np.ndarray) -> dict[bytes, int]:
     return {k.tobytes(): v for k, v in zip(keys[hit], values[hit].tolist())}
 
 
-def oracle_rtt(trace: Trace, type_filter=None, *, time_unit_ns: int = 1000,
-               epoch_start_ns: int = 0) -> RttOracle:
+def oracle_rtt(trace: Trace, type_filter=None, *,
+               time_unit_ns: int = 1000) -> dict[bytes, int]:
+    """Round-trip time per canonical pair, summed over FIFO-matched
+    request/response pairs only: unlike the sketch, an unmatched request
+    adds nothing."""
     from .latency import TypeFilter
     if type_filter is None:
         type_filter = TypeFilter.syn_handshake()
     admitted = np.isin(trace.ptype,
                        [int(t) for t in (type_filter.requests | type_filter.responses)])
     sub = trace.select(admitted)
-    matrix, fwd = sub.canonical_matrix()
-    order, starts, keys = _groups(matrix)
-    t = ((sub.ts.astype(np.int64) - epoch_start_ns) // time_unit_ns)[order]
-    sums = np.add.reduceat(np.where(fwd[order], t, -t), starts)
-    accumulated = {k.tobytes(): abs(s) for k, s in zip(keys, sums.tolist())}
-
+    order, starts, keys = _groups(sub.canonical_matrix()[0])
+    t = (sub.ts.astype(np.int64) // time_unit_ns)[order]
     # FIFO matching: the i-th response of a pair answers its i-th request
     is_resp = np.isin(sub.ptype[order], [int(x) for x in type_filter.responses])
     gid = _group_ids(starts, len(order))
@@ -119,7 +107,7 @@ def oracle_rtt(trace: Trace, type_filter=None, *, time_unit_ns: int = 1000,
                     _earlier_in_group(~is_resp, starts, gid))
     paired = rank < pairs[gid]
     matched = np.add.reduceat(np.where(paired, np.where(is_resp, t, -t), 0), starts)
-    return RttOracle(accumulated, _by_key(keys, matched))
+    return _by_key(keys, matched)
 
 
 def oracle_loss(trace: Trace) -> dict[bytes, int]:
@@ -179,10 +167,5 @@ def oracle_rtx(trace: Trace) -> dict[bytes, RtxStats]:
 
 
 def relevant_topk(mapping: dict, k: int) -> list[bytes]:
-    """Top-k keys by value, ties broken by key bytes ascending."""
-    ranked = sorted(mapping.items(), key=lambda item: (-_value(item[1]), item[0]))
-    return [key for key, _ in ranked[:k]]
-
-
-def _value(v) -> float:
-    return float(v.avg_retransmissions) if isinstance(v, RtxStats) else float(v)
+    """Top-k keys of a {key bytes: number} map in ``ranked`` order."""
+    return [key for key, _ in ranked(list(mapping.items()))[:k]]

@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 import struct
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple
 
 
 class PacketType(enum.IntEnum):
@@ -25,11 +25,9 @@ class PacketType(enum.IntEnum):
 
 
 KEY_BYTES = 13
-PAIR_BYTES = 26
 RECORD_BYTES = 42
 
 _KEY_CODEC = struct.Struct("<IIHHB")          # src, dst, src_port, dst_port, proto
-_RECORD_CODEC = struct.Struct("<IIHHBBQQQI")  # key fields + ptype, seq, ack, ts, size
 
 
 @dataclass(frozen=True)
@@ -86,14 +84,6 @@ class CanonicalPair:
         fwd = self.forward_key()
         return fwd.to_bytes() + fwd.reversed().to_bytes()
 
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "CanonicalPair":
-        if len(data) != PAIR_BYTES:
-            raise ValueError(f"canonical pair must be {PAIR_BYTES} bytes, got {len(data)}")
-        fwd = FlowKey.from_bytes(data[:KEY_BYTES])
-        return cls(Endpoint(fwd.src, fwd.src_port), Endpoint(fwd.dst, fwd.dst_port),
-                   fwd.proto, True)
-
 
 def canonicalize(key: FlowKey) -> CanonicalPair:
     """Order a key's endpoints; reversing the key flips only ``forward``.
@@ -105,11 +95,6 @@ def canonicalize(key: FlowKey) -> CanonicalPair:
     if a <= b:
         return CanonicalPair(a, b, key.proto, True)
     return CanonicalPair(b, a, key.proto, False)
-
-
-def key_bytes(key: "FlowKey | CanonicalPair") -> bytes:
-    """Deterministic, injective serialization of either key type."""
-    return key.to_bytes()
 
 
 @dataclass(frozen=True)
@@ -126,18 +111,6 @@ class PacketRecord:
     ack: int
     ts: int
     size: int
-
-    def to_bytes(self) -> bytes:
-        k = self.key
-        return _RECORD_CODEC.pack(k.src, k.dst, k.src_port, k.dst_port, k.proto,
-                                  int(self.ptype), self.seq, self.ack, self.ts, self.size)
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "PacketRecord":
-        if len(data) != RECORD_BYTES:
-            raise ValueError(f"record must be {RECORD_BYTES} bytes, got {len(data)}")
-        src, dst, sport, dport, proto, ptype, seq, ack, ts, size = _RECORD_CODEC.unpack(data)
-        return cls(FlowKey(src, dst, sport, dport, proto), PacketType(ptype), seq, ack, ts, size)
 
     def to_text(self) -> str:
         """Comma-separated form with hex endpoints, for hand-written fixtures."""
@@ -156,23 +129,3 @@ class PacketRecord:
         ptype = PacketType[name] if name in PacketType.__members__ else PacketType(int(parts[5]))
         return cls(FlowKey(src, dst, sport, dport, proto), ptype,
                    int(parts[6]), int(parts[7]), int(parts[8]), int(parts[9]))
-
-
-@dataclass(frozen=True)
-class Epoch:
-    """One monitoring interval: all packet timestamps lie in [start, end)."""
-
-    start_ts: int
-    end_ts: int
-    packets: Sequence[PacketRecord] = ()
-
-    def __post_init__(self) -> None:
-        for p in self.packets:
-            if not (self.start_ts <= p.ts < self.end_ts):
-                raise ValueError(f"packet ts {p.ts} outside epoch [{self.start_ts}, {self.end_ts})")
-
-    def __iter__(self) -> Iterator[PacketRecord]:
-        return iter(self.packets)
-
-    def __len__(self) -> int:
-        return len(self.packets)

@@ -21,7 +21,7 @@ import numpy as np
 from . import hashing
 from .countsketch import CountSketchTable
 from .packets import KEY_BYTES, PacketType
-from .reports import HeavyReport
+from .reports import HeavyReport, ranked
 from .traceio import Trace, check_time_order
 
 
@@ -90,9 +90,6 @@ class DistinctEstimator:
                 raw = self.m * math.log(self.m / zeros)
         self._floor = max(self._floor, raw)
         return self._floor
-
-    def memory_bytes(self) -> int:
-        return self.m
 
 
 class TrackedFlow:
@@ -257,8 +254,7 @@ class RetransmitDetector:
             raise ValueError("retransmission threshold k must exceed 1")
         thr = k_threshold / 4.0
         entries = [(key, flow.ratio()) for key, flow in self.tracked.items()]
-        entries = [(key, r) for key, r in entries if r >= thr]
-        entries.sort(key=lambda item: (-item[1], item[0]))
+        entries = ranked([(key, r) for key, r in entries if r >= thr])
         return HeavyReport("retransmit", entries, total=float(self.total), threshold=thr)
 
     def run(self, trace: Trace, k: int) -> HeavyReport:

@@ -61,9 +61,6 @@ class Trace:
             return self._arr[name]
         raise AttributeError(name)
 
-    def copy(self) -> "Trace":
-        return Trace(self._arr.copy())
-
     def select(self, rows) -> "Trace":
         """The rows a slice (as a view), a boolean mask or an index list
         picks; the last two gather with ``np.take``, several times faster
@@ -94,10 +91,6 @@ class Trace:
             arr[i] = (k.src, k.dst, k.src_port, k.dst_port, k.proto,
                       int(p.ptype), p.seq, p.ack, p.ts, p.size)
         return cls(arr)
-
-    @classmethod
-    def concatenate(cls, traces: Iterable["Trace"]) -> "Trace":
-        return cls(np.concatenate([t._arr for t in traces]))
 
     def record(self, i: int) -> PacketRecord:
         r = self._arr[i]

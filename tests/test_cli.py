@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -106,10 +107,14 @@ def test_ooo_epsilon_and_cache_flags(workspace):
 
 
 def test_delta_and_sketch_epsilon_shape_table(workspace, capsys):
+    # ceil(9 / 0.1^2) = 900 buckets x ceil(log2 32) = 5 rows x 4-byte counters
     root, trace = workspace
     assert run_cli("--seed", 1, "--trace", trace, "--out-dir", root,
                    "run", "--detector", "loss", "-k", 10,
                    "--delta", 0.03125, "--sketch-epsilon", 0.1) == 0
+    with open(root / "run.csv", newline="", encoding="utf-8") as f:
+        (row,) = csv.DictReader(f)
+    assert int(row["memory_bytes"]) == 18_000
 
 
 def synth_twice(tmp_path, *flags):

@@ -234,9 +234,13 @@ def test_checked_overflow_updates_every_row_before_raising():
 
 
 def test_shape_from_epsilon_delta():
-    t = CountSketchTable.from_epsilon_delta(0.067, 1 / 32)
-    assert t.buckets == int(np.ceil(9 / 0.067 ** 2))
-    assert t.rows == 5
+    # B = ceil(9 / eps^2) is the fewest buckets whose implied epsilon meets eps
+    eps = 0.067
+    buckets = int(np.ceil(9 / eps ** 2))
+    t = CountSketchTable(5, buckets)
+    assert t.buckets == 2005 and t.rows == 5
+    assert t.epsilon <= eps
+    assert CountSketchTable(5, buckets - 1).epsilon > eps
 
 
 def test_batch_estimate_matches_scalar(rng):

@@ -5,8 +5,8 @@ import pytest
 
 from flowsift import reporter
 from flowsift.harness import (ConfigError, DataError, DetectorConfig,
-                              EvalResult, median_recall, read_json, run_experiment,
-                              sweep_memory, write_csv, write_json,
+                              EvalResult, compute_relevant, median_recall, read_json,
+                              run_experiment, sweep_memory, write_csv, write_json,
                               write_reports, _score)
 from flowsift.inject import INJECTORS, InjectionPlan, inject_latency, inject_loss
 from flowsift.latency import LatencyDetector, TypeFilter
@@ -16,6 +16,8 @@ from flowsift.packets import PacketType
 from flowsift.reporter import BloomGate, CandidateLog, controller_topk, maybe_report
 from flowsift.synth import SynthConfig, synthesize
 from flowsift.traceio import Trace
+
+from conftest import flow_stream, make_key
 
 
 @pytest.fixture(scope="module")
@@ -62,6 +64,17 @@ def test_score_rules():
     assert _score([b"a", b"b"], [b"a", b"b"]) == (1.0, 1.0)
     assert _score([], [b"a"]) == (0.0, 0.0)          # precision 0 when empty
     assert _score([b"a"], []) == (0.0, 0.0)
+
+
+def test_retransmit_relevant_set_ranks_by_average_retransmissions():
+    # averages: 0 -> 2.0, 1 -> 1.0 (no retransmission), 2 -> 4/3, 3 -> 2.0
+    seqs = {0: [1, 1, 2, 2], 1: [1, 2, 3], 2: [1, 1, 2, 3], 3: [1, 2, 1, 2]}
+    records = [p for i, s in seqs.items() for p in flow_stream(make_key(i), s)]
+    trace = Trace.from_records(records)
+    key = {i: make_key(i).to_bytes() for i in seqs}
+    tied = sorted([key[0], key[3]])
+    assert compute_relevant(trace, DetectorConfig("retransmit"), 10) == [*tied, key[2]]
+    assert compute_relevant(trace, DetectorConfig("retransmit"), 1) == tied[:1]
 
 
 def test_run_experiment_latency_small(latency_setup):

@@ -57,7 +57,7 @@ def test_latency_single_victim_oracle_delta(base_trace):
     after = oracle_rtt(out, tf)
     from flowsift.packets import FlowKey, canonicalize
     pair = canonicalize(FlowKey.from_bytes(victim)).to_bytes()
-    added = after.matched[pair] - before.matched[pair]
+    added = after[pair] - before[pair]
     assert added * 1000 == manifest["victims"][0]["true_value"]
 
 

@@ -48,12 +48,6 @@ def test_type_filter_skips_and_counts():
     assert not det.table.counters.any()
 
 
-def test_timestamp_before_epoch_start_rejected():
-    det = LatencyDetector(buckets=64, rows=3, run_seed=5, epoch_start_ns=1_000_000)
-    with pytest.raises(ValueError, match="epoch start"):
-        det.observe(PacketRecord(make_key(3), PacketType.SYN, 1, 0, 500, 60))
-
-
 def test_direction_antisymmetry():
     records = []
     for i in range(50):
