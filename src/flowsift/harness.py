@@ -20,10 +20,12 @@ from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from statistics import median
 
+import numpy as np
+
 from .latency import LatencyDetector, TypeFilter
 from .loss import LossDetector
 from .ooo import OooDetector
-from .oracle import oracle_loss, oracle_ooo, oracle_rtt, oracle_rtx, relevant_topk
+from .oracle import loss_counts, ooo_weights, rtt_totals, rtx_counts, top_keys
 from .reporter import CandidateLog
 from .retransmit import RetransmitDetector
 from .traceio import Trace
@@ -134,17 +136,18 @@ def _score(returned: list[bytes], relevant: list[bytes]) -> tuple[float, float]:
 
 
 def compute_relevant(trace: Trace, cfg: DetectorConfig, k: int) -> list[bytes]:
-    """Oracle top-k for a detector kind: the relevant set for scoring."""
+    """Oracle top-k for a detector kind: the relevant set for scoring,
+    ranked from the oracle's key and value arrays."""
     if cfg.kind == "latency":
-        return relevant_topk(oracle_rtt(trace, TypeFilter.named(cfg.type_filter),
-                                        time_unit_ns=cfg.time_unit_ns), k)
+        return top_keys(*rtt_totals(trace, TypeFilter.named(cfg.type_filter),
+                                    time_unit_ns=cfg.time_unit_ns), k)
     if cfg.kind == "loss":
-        return relevant_topk(oracle_loss(trace), k)
+        return top_keys(*loss_counts(trace), k)
     if cfg.kind == "ooo":
-        return relevant_topk(oracle_ooo(trace, cfg.window_ns, cfg.weight_mode), k)
-    defects = {key: stats.avg_retransmissions for key, stats in oracle_rtx(trace).items()
-               if stats.avg_retransmissions > 1.0}
-    return relevant_topk(defects, k)
+        return top_keys(*ooo_weights(trace, cfg.window_ns, cfg.weight_mode), k)
+    keys, packets, distinct = rtx_counts(trace)
+    average = packets / distinct
+    return top_keys(keys, np.where(average > 1.0, average, 0.0), k)
 
 
 def check_manifest(trace: Trace, manifest: dict) -> None:

@@ -104,7 +104,8 @@ def fold64_matrix(m: np.ndarray) -> np.ndarray:
     h = np.full(m.shape[0], _FNV_OFFSET, dtype=np.uint64)
     prime = np.uint64(_FNV_PRIME)
     for col in range(m.shape[1]):
-        h = (h ^ m[:, col].astype(np.uint64)) * prime
+        h ^= m[:, col]          # in place: no temporaries per column
+        h *= prime
     return h
 
 

@@ -5,11 +5,14 @@ records ground truth in a manifest next to the modified trace. Victims
 are drawn from the heaviest flows by data-packet count, ranked from one
 ``flow_groups`` pass; the pool size and draw count are plan parameters.
 Injected latency is drawn once per flow, so a victim's delay is constant
-across its packets. An injector that moves or adds records re-sorts with
-``Trace.time_sorted``, whose full ties keep input order. The reorder
-injector reads each victim's true out-of-order weight from ``oracle_ooo``
-run on the victims' rows alone: the oracle is per flow, and those rows,
-time-sorted on their own, keep their order in the output trace.
+across its packets. An injector that moves or adds records builds only
+the new timestamp column (and the index of the rows it copies), orders
+it with ``traceio.time_order``, the order ``Trace.time_sorted`` uses,
+and gathers its output from its input with one ``np.take``: no whole
+copy of the input is made besides the output. The reorder injector reads
+each victim's true out-of-order weight from ``oracle_ooo`` run on the
+victims' rows alone: the oracle is per flow, and those rows, time-sorted
+on their own, keep their order in the output trace.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import numpy as np
 
 from .oracle import flow_groups, oracle_ooo
 from .packets import KEY_BYTES, FlowKey, PacketType
-from .traceio import KEY_VOID, Trace
+from .traceio import KEY_VOID, Trace, time_order
 
 REORDER_DELAY_NS = 5_000_000
 DUPLICATE_JITTER_NS = 1_000_000
@@ -93,7 +96,7 @@ def _victim_index(trace: Trace, victims: list[bytes]) -> np.ndarray:
     order = np.argsort(victim_view)
     pos = np.clip(np.searchsorted(victim_view[order], view), 0, len(victims) - 1)
     hit = victim_view[order][pos] == view
-    idx = np.full(len(trace), -1, dtype=np.int64)
+    idx = np.full(len(trace), -1, dtype=np.int32)
     idx[candidates[hit]] = order[pos[hit]]
     return idx
 
@@ -112,6 +115,37 @@ def _manifest(plan: InjectionPlan, trace: Trace, victims: list[bytes],
     }
 
 
+def _restamped(trace: Trace, ts: np.ndarray, moved: np.ndarray,
+               copies: "np.ndarray | None" = None) -> Trace:
+    """The input's records, then copies of its rows ``copies``, at the
+    timestamps ``ts`` (one per record, the copies last), in ``time_order``.
+
+    Only the new timestamp column is built: ``time_order`` fetches the few
+    tied records from the input, one ``np.take`` gathers the output from
+    it, and the records that ``moved`` marks get their new timestamps.
+    """
+    a, n = trace.arr, len(trace)
+
+    def to_input(index: np.ndarray) -> np.ndarray:
+        """Point each copy's index at the row it copies, in place."""
+        if copies is not None:
+            tail = np.flatnonzero(index >= n)
+            index[tail] = copies[index[tail] - n]
+        return index
+
+    def rows_at(index: np.ndarray) -> np.ndarray:
+        rows = np.take(a, to_input(index.copy()))
+        rows["ts"] = ts[index]
+        return rows
+
+    order = time_order(ts, rows_at)
+    patch = np.flatnonzero(moved[order])
+    stamps = ts[order[patch]]
+    out = np.take(a, to_input(order))
+    out["ts"][patch] = stamps
+    return Trace(out)
+
+
 def inject_latency(trace: Trace, plan: InjectionPlan) -> tuple[Trace, dict]:
     """Shift every response packet of each victim by its per-flow delay."""
     plan.validate()
@@ -126,13 +160,13 @@ def inject_latency(trace: Trace, plan: InjectionPlan) -> tuple[Trace, dict]:
     # a response's key is its victim's data-direction key reversed
     victim_idx = _victim_index(
         trace, [FlowKey.from_bytes(v).reversed().to_bytes() for v in victims])
-    arr = trace.arr.copy()
-    is_resp = np.isin(arr["ptype"], [int(PacketType.ACK), int(PacketType.SYNACK)])
+    is_resp = np.isin(trace.ptype, [int(PacketType.ACK), int(PacketType.SYNACK)])
     shift = (victim_idx >= 0) & is_resp
-    arr["ts"][shift] = arr["ts"][shift] + delays[victim_idx[shift]].astype(np.uint64)
+    ts = trace.ts.copy()
+    ts[shift] += delays[victim_idx[shift]].astype(np.uint64)
     shifted_counts = np.bincount(victim_idx[shift], minlength=len(victims))
 
-    out = Trace(arr).time_sorted()
+    out = _restamped(trace, ts, shift)
     true_values = delays * shifted_counts   # added round-trip ns per victim
     return out, _manifest(plan, out, victims, delays, true_values)
 
@@ -162,23 +196,32 @@ def inject_reorder(trace: Trace, plan: InjectionPlan,
                    window_ns: int = 3_000_000) -> tuple[Trace, dict]:
     """Delay sampled victim DATA packets by 5 ms to break packet order."""
     victims, victim_idx, sampled = _sample_victim_data(trace, plan)
-    arr = trace.arr.copy()
-    arr["ts"][sampled] = arr["ts"][sampled] + np.uint64(delay_ns)
-    out = Trace(arr).time_sorted()
-    # per-flow oracle: the victims' rows alone carry the same weights
-    weights = oracle_ooo(Trace(arr).select(victim_idx >= 0).time_sorted(),
-                         window_ns=window_ns)
+    ts = trace.ts.copy()
+    ts[sampled] += np.uint64(delay_ns)
+    weights = _victim_ooo(trace, ts, victim_idx >= 0, window_ns)
+    out = _restamped(trace, ts, sampled)
     return out, _manifest(plan, out, victims, [plan.magnitude] * len(victims),
                           [weights.get(v, 0) for v in victims])
+
+
+def _victim_ooo(trace: Trace, ts: np.ndarray, rows: np.ndarray, window_ns: int) -> dict:
+    """``oracle_ooo`` of the victims' rows alone, restamped with ``ts``: the
+    oracle is per flow, and those rows, time-sorted on their own, keep
+    their order in the output trace."""
+    victim = trace.select(rows)
+    victim.arr["ts"] = ts[rows]
+    return oracle_ooo(victim.time_sorted(), window_ns=window_ns)
 
 
 def inject_duplicate(trace: Trace, plan: InjectionPlan,
                      jitter_ns: int = DUPLICATE_JITTER_NS) -> tuple[Trace, dict]:
     """Append a jittered copy of sampled victim DATA packets."""
     victims, victim_idx, sampled = _sample_victim_data(trace, plan)
-    copies = trace.arr[sampled]
-    copies["ts"] = copies["ts"] + np.uint64(jitter_ns)
-    out = Trace(np.concatenate([trace.arr, copies])).time_sorted()
+    copies = np.flatnonzero(sampled)
+    ts = np.concatenate([trace.ts, trace.ts[copies] + np.uint64(jitter_ns)])
+    moved = np.zeros(len(ts), dtype=bool)
+    moved[len(trace):] = True
+    out = _restamped(trace, ts, moved, copies)
     return out, _manifest(plan, out, victims, [plan.magnitude] * len(victims),
                           np.bincount(victim_idx[sampled], minlength=len(victims)))
 

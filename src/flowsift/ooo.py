@@ -34,6 +34,7 @@ from .traceio import KEY_VOID, Trace, check_time_order
 # Accounting per entry/slot, in bytes: key plus the stated payload.
 CACHE_ENTRY_BYTES = 13 + 8 + 8   # key, max_seq, last_ts
 TOP_SLOT_BYTES = 13 + 8          # key, weight
+_LIST_BLOCK = 1 << 16             # rows RecencyCache.observe turns into lists at once
 
 
 def ooo_shape(budget_bytes: int) -> tuple[int, int]:
@@ -100,27 +101,33 @@ class RecencyCache:
         check_time_order(stamps, self._last_ts, "out-of-order detection")
         self._last_ts = int(stamps[-1])
         keys = data.key_matrix()
-        folds = hashing.fold64_matrix(keys)
-        first, second = (hashing.bucket_batch(self._halves, folds, self._half)
-                         + [[0], [self._half]]).tolist()     # second half's offset
+        candidates = (hashing.bucket_batch(self._halves, hashing.fold64_matrix(keys),
+                                           self._half)
+                      + [[0], [self._half]])     # second half's offset
+        keys, seqs = keys.view(KEY_VOID).ravel(), data.seq
         window, slots, index = self.window_ns, self._slots, self._index
         late = []
-        for i, (key, ts, seq, slot, alternate) in enumerate(zip(
-                keys.view(KEY_VOID).ravel().tolist(), stamps.tolist(),
-                data.seq.tolist(), first, second)):
-            cutoff = ts - window
-            held = index.get(key)
-            if held is not None:
-                entry = slots[held]
-                if entry[2] >= cutoff:
-                    if seq <= entry[1]:
-                        late.append(i)
-                    else:
-                        entry[1] = seq
-                    entry[2] = ts
-                    continue
-                slots[held] = None      # stale: the key arrives as new
-            self._insert([key, seq, ts, alternate], slot, cutoff)
+        # Python lists of one block of rows at a time: the whole batch as
+        # lists would cost ~200 bytes of objects per row
+        for lo in range(0, len(data), _LIST_BLOCK):
+            block = slice(lo, lo + _LIST_BLOCK)
+            first, second = candidates[:, block].tolist()
+            for i, key, ts, seq, slot, alternate in zip(
+                    range(lo, lo + _LIST_BLOCK), keys[block].tolist(),
+                    stamps[block].tolist(), seqs[block].tolist(), first, second):
+                cutoff = ts - window
+                held = index.get(key)
+                if held is not None:
+                    entry = slots[held]
+                    if entry[2] >= cutoff:
+                        if seq <= entry[1]:
+                            late.append(i)
+                        else:
+                            entry[1] = seq
+                        entry[2] = ts
+                        continue
+                    slots[held] = None      # stale: the key arrives as new
+                self._insert([key, seq, ts, alternate], slot, cutoff)
         return late
 
     def _insert(self, entry: list, slot: int, cutoff: int) -> None:

@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .packets import PacketType
-from .reports import ranked
+from .reports import rank_order
 from .traceio import Trace, stable_order
 
 
@@ -82,7 +82,17 @@ def _earlier_in_group(mask: np.ndarray, starts: np.ndarray, gid: np.ndarray) -> 
 def _by_key(keys: np.ndarray, values: np.ndarray) -> dict[bytes, int]:
     """{key bytes: int value} for the nonzero values."""
     hit = np.flatnonzero(values)
-    return {k.tobytes(): v for k, v in zip(keys[hit], values[hit].tolist())}
+    return dict(zip(keys[hit].tolist(), values[hit].tolist()))
+
+
+def top_keys(keys: np.ndarray, values: np.ndarray, k: int) -> list[bytes]:
+    """The top k of the keys with a nonzero value, as bytes, in
+    ``reports.rank_order``; ``keys`` are void values of one width. Only
+    the top k become bytes."""
+    hit = np.flatnonzero(values)
+    keys, values = keys[hit], values[hit]
+    matrix = keys.view(np.uint8).reshape(len(keys), keys.dtype.itemsize)
+    return keys[rank_order(matrix, values)[:k]].tolist()
 
 
 def oracle_rtt(trace: Trace, type_filter=None, *,
@@ -90,6 +100,12 @@ def oracle_rtt(trace: Trace, type_filter=None, *,
     """Round-trip time per canonical pair, summed over FIFO-matched
     request/response pairs only: unlike the sketch, an unmatched request
     adds nothing."""
+    return _by_key(*rtt_totals(trace, type_filter, time_unit_ns=time_unit_ns))
+
+
+def rtt_totals(trace: Trace, type_filter=None, *,
+               time_unit_ns: int = 1000) -> tuple[np.ndarray, np.ndarray]:
+    """``oracle_rtt`` as arrays: every pair's void-26 key and its total."""
     from .latency import TypeFilter
     if type_filter is None:
         type_filter = TypeFilter.syn_handshake()
@@ -106,16 +122,20 @@ def oracle_rtt(trace: Trace, type_filter=None, *,
     rank = np.where(is_resp, _earlier_in_group(is_resp, starts, gid),
                     _earlier_in_group(~is_resp, starts, gid))
     paired = rank < pairs[gid]
-    matched = np.add.reduceat(np.where(paired, np.where(is_resp, t, -t), 0), starts)
-    return _by_key(keys, matched)
+    return keys, np.add.reduceat(np.where(paired, np.where(is_resp, t, -t), 0), starts)
 
 
 def oracle_loss(trace: Trace) -> dict[bytes, int]:
     """Missing-id count per flow: ids below the max that never appear."""
+    return _by_key(*loss_counts(trace))
+
+
+def loss_counts(trace: Trace) -> tuple[np.ndarray, np.ndarray]:
+    """``oracle_loss`` as arrays: every data flow's void-13 key and count."""
     order, starts, keys = flow_groups(trace)
     seq = trace.seq[order].astype(np.int64)
     missing = np.maximum.reduceat(seq, starts) - _distinct_per_flow(seq, starts)
-    return _by_key(keys, np.maximum(missing, 0))
+    return keys, np.maximum(missing, 0)
 
 
 def _distinct_per_flow(seq: np.ndarray, starts: np.ndarray) -> np.ndarray:
@@ -134,6 +154,12 @@ def oracle_ooo(trace: Trace, window_ns: int = 3_000_000,
     A packet counts when its id is at or below the flow's max id seen
     since the last gap longer than the window; a gap resets the max.
     """
+    return _by_key(*ooo_weights(trace, window_ns, weight_mode))
+
+
+def ooo_weights(trace: Trace, window_ns: int = 3_000_000,
+                weight_mode: str = "bytes") -> tuple[np.ndarray, np.ndarray]:
+    """``oracle_ooo`` as arrays: every data flow's void-13 key and weight."""
     order, starts, keys = flow_groups(trace)
     seq = trace.seq[order].astype(np.int64)
     fresh = np.ones(len(seq), dtype=bool)
@@ -147,8 +173,7 @@ def oracle_ooo(trace: Trace, window_ns: int = 3_000_000,
     late[1:] = pair[1:] <= np.maximum.accumulate(pair)[:-1]
     late &= ~fresh
     weight = trace.size[order] if weight_mode == "bytes" else 1
-    totals = np.add.reduceat(np.where(late, weight, 0).astype(np.int64), starts)
-    return _by_key(keys, totals)
+    return keys, np.add.reduceat(np.where(late, weight, 0).astype(np.int64), starts)
 
 
 class RtxStats(NamedTuple):
@@ -159,13 +184,14 @@ class RtxStats(NamedTuple):
 
 def oracle_rtx(trace: Trace) -> dict[bytes, RtxStats]:
     """Packet count, distinct-id count, and their ratio, for every data flow."""
+    keys, packets, distinct = rtx_counts(trace)
+    return {k: RtxStats(n, d, n / d)
+            for k, n, d in zip(keys.tolist(), packets.tolist(), distinct.tolist())}
+
+
+def rtx_counts(trace: Trace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``oracle_rtx`` as arrays: every data flow's void-13 key, packet
+    count and distinct-id count."""
     order, starts, keys = flow_groups(trace)
-    packets = np.diff(starts, append=len(order)).tolist()
-    distinct = _distinct_per_flow(trace.seq[order].astype(np.int64), starts).tolist()
-    return {k.tobytes(): RtxStats(n, d, n / d)
-            for k, n, d in zip(keys, packets, distinct)}
-
-
-def relevant_topk(mapping: dict, k: int) -> list[bytes]:
-    """Top-k keys of a {key bytes: number} map in ``ranked`` order."""
-    return [key for key, _ in ranked(list(mapping.items()))[:k]]
+    packets = np.diff(starts, append=len(order))
+    return keys, packets, _distinct_per_flow(trace.seq[order].astype(np.int64), starts)

@@ -3,7 +3,9 @@
 Produces Zipf-sized bidirectional flows over one epoch: each flow gets
 a SYN/SYNACK handshake plus DATA packets with per-flow sequence ids
 1..n and an ACK per DATA delayed by the flow's base round-trip time.
-Identical config and seed give a byte-identical trace.
+Identical config and seed give a byte-identical trace. The records of
+all four packet types are written into one preallocated record array,
+which ``Trace.time_sorted`` gathers into the trace.
 
 Data-packet counts are rounded up to even by default so every complete
 flow finishes its final id pair; odd tails are covered by unit fixtures
@@ -79,17 +81,20 @@ def _reversed(ends: dict) -> dict:
             "sport": ends["dport"], "dport": ends["sport"]}
 
 
-def _records(ptype: PacketType, ends: dict, **cols) -> np.ndarray:
-    """TCP records of one packet type from endpoint and field columns."""
-    out = np.empty(len(cols["ts"]), dtype=RECORD_DTYPE)
-    out["proto"], out["ptype"] = 6, int(ptype)
+def _fill(rows: np.ndarray, ptype: PacketType, ends: dict, **cols) -> None:
+    """Write TCP records of one packet type into a slice of the trace."""
+    rows["proto"], rows["ptype"] = 6, int(ptype)
     for name, value in {**ends, **cols}.items():
-        out[name] = value
-    return out
+        rows[name] = value
 
 
 def synthesize(cfg: SynthConfig) -> tuple[Trace, dict]:
-    """Build the epoch trace and its manifest."""
+    """Build the epoch trace and its manifest.
+
+    The DATA, ACK, SYN and SYNACK records fill consecutive slices of one
+    record array, and ``Trace.time_sorted`` gathers the trace from it: at
+    most two record arrays are alive at once, the filled one and the trace.
+    """
     cfg.validate()
     rng = np.random.default_rng(cfg.seed)
     keys = _flow_keys(rng, cfg.flows)
@@ -102,26 +107,28 @@ def synthesize(cfg: SynthConfig) -> tuple[Trace, dict]:
     ts = rng.integers(0, cfg.duration_ns - margin, n, dtype=np.int64)
     by_ts = stable_order(ts)          # np.lexsort((ts, flow_of)) as two stable passes
     ts = ts[by_ts[stable_order(flow_of[by_ts])]]
+    del by_ts
     starts = np.zeros(cfg.flows, dtype=np.int64)
     starts[1:] = np.cumsum(sizes)[:-1]
     seq = np.arange(n, dtype=np.int64) - starts[flow_of] + 1
-    payload = rng.integers(64, 1500, n, dtype=np.int64)
 
+    arr = np.empty(2 * (n + cfg.flows) if cfg.bidirectional else n, dtype=RECORD_DTYPE)
     ends = {col: keys[col][flow_of] for col in ("src", "dst", "sport", "dport")}
-    parts = [_records(PacketType.DATA, ends, seq=seq, ack=0, ts=ts, size=payload)]
+    _fill(arr[:n], PacketType.DATA, ends, seq=seq, ack=0, ts=ts,
+          size=rng.integers(64, 1500, n, dtype=np.int64))
     rtt = rng.integers(cfg.rtt_min_ns, cfg.rtt_max_ns + 1, cfg.flows, dtype=np.int64)
 
     if cfg.bidirectional:
+        _fill(arr[n:2 * n], PacketType.ACK, _reversed(ends), seq=0, ack=seq,
+              ts=ts + rtt[flow_of], size=ACK_SIZE)
         syn_ts = np.maximum(np.minimum.reduceat(ts, starts) - 1000, 0)
-        parts += [
-            _records(PacketType.ACK, _reversed(ends), seq=0, ack=seq,
-                     ts=ts + rtt[flow_of], size=ACK_SIZE),
-            _records(PacketType.SYN, keys, seq=1, ack=0, ts=syn_ts, size=HANDSHAKE_SIZE),
-            _records(PacketType.SYNACK, _reversed(keys), seq=0, ack=1,
-                     ts=syn_ts + rtt, size=HANDSHAKE_SIZE),
-        ]
+        syn, synack = arr[2 * n:2 * n + cfg.flows], arr[2 * n + cfg.flows:]
+        _fill(syn, PacketType.SYN, keys, seq=1, ack=0, ts=syn_ts, size=HANDSHAKE_SIZE)
+        _fill(synack, PacketType.SYNACK, _reversed(keys), seq=0, ack=1,
+              ts=syn_ts + rtt, size=HANDSHAKE_SIZE)
+    del flow_of, ts, seq, ends
 
-    trace = Trace(np.concatenate(parts)).time_sorted()
+    trace = Trace(arr).time_sorted()
     manifest = {
         "kind": "synth",
         "seed": cfg.seed,

@@ -37,7 +37,7 @@ KEY_VOID = np.dtype((np.void, KEY_BYTES))
 _REVERSED_KEY = np.r_[4:8, 0:4, 10:12, 8:10, 12]
 _FORWARD_PAIR = np.r_[0:KEY_BYTES, _REVERSED_KEY]
 _BACKWARD_PAIR = np.r_[_REVERSED_KEY, 0:KEY_BYTES]
-# time_sorted's columns as np.lexsort takes them, the primary one last
+# time_order's columns as np.lexsort takes them, the primary one last
 _TIME_ORDER = ("seq", "ptype", "dport", "sport", "dst", "src", "ts")
 
 
@@ -106,17 +106,10 @@ class Trace:
     # -- ordering and identity ----------------------------------------------
 
     def time_sorted(self) -> "Trace":
-        """Stable sort by (ts, src, dst, sport, dport, ptype, seq), full ties in
-        input order: one ``stable_order`` on ts (a packed-key sort whenever
-        the timestamp span and the row count fit 64 bits together), then a
-        lexsort by all seven columns of only the rows that share a timestamp."""
+        """The rows in ``time_order``: by (ts, src, dst, sport, dport, ptype,
+        seq), full ties in input order."""
         a = self._arr
-        order = stable_order(a["ts"])
-        same = np.diff(a["ts"][order]) == 0
-        at = np.flatnonzero(np.r_[same, False] | np.r_[False, same])
-        rows = a[order[at]]
-        order[at] = order[at][np.lexsort([rows[c] for c in _TIME_ORDER])]
-        return Trace(np.take(a, order))
+        return Trace(np.take(a, time_order(a["ts"], lambda rows: np.take(a, rows))))
 
     def to_od_pairs(self) -> "Trace":
         """Collapse flow identities to origin-destination pairs.
@@ -187,6 +180,29 @@ def stable_order(values: np.ndarray) -> np.ndarray:
     packed.sort()
     packed &= np.uint64((1 << index_bits) - 1)
     return packed.view(np.intp)
+
+
+def time_order(ts: np.ndarray, rows_at) -> np.ndarray:
+    """Row order of a trace by (ts, src, dst, sport, dport, ptype, seq),
+    full ties in input order: the one time order of every trace flowsift
+    builds.
+
+    ``ts`` is the trace's timestamp column and ``rows_at(index)`` returns
+    its records at an index array. One ``stable_order`` on ``ts`` (a
+    packed-key sort whenever the timestamp span and the row count fit 64
+    bits together) orders the rows; only the rows that share a timestamp
+    are fetched and lexsorted by all seven columns. So a caller can order
+    a trace it has not built yet, from the timestamps alone.
+    """
+    order = stable_order(ts)
+    stamps = ts[order]
+    same = stamps[1:] == stamps[:-1]
+    del stamps
+    at = np.flatnonzero(np.r_[same, False] | np.r_[False, same])
+    tied = order[at]
+    rows = rows_at(tied)
+    order[at] = tied[np.lexsort([rows[c] for c in _TIME_ORDER])]
+    return order
 
 
 def check_time_order(stamps: np.ndarray, last: int, needed_by: str) -> None:

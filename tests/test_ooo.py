@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from flowsift import hashing
+from flowsift import hashing, ooo
 from flowsift.inject import InjectionPlan, inject_reorder
 from flowsift.ooo import OooDetector, RecencyCache, TopTable
 from flowsift.oracle import oracle_ooo
@@ -287,6 +287,19 @@ def test_cache_with_room_for_every_flow_matches_oracle(reorder_trace, capacity_r
         if capacity >= 512:
             assert det.cache.dropped == 0, capacity
             assert dict(det.table.occupied()) == truth, capacity
+
+
+def test_cache_lists_per_block_keep_every_decision(reorder_trace, monkeypatch):
+    # observe turns rows into Python lists one block at a time; one block
+    # holding the whole batch is the reference
+    data = reorder_trace.select(reorder_trace.ptype == int(PacketType.DATA))
+    runs = []
+    for block in (len(data) + 1, 1000, 7):
+        monkeypatch.setattr(ooo, "_LIST_BLOCK", block)
+        cache = RecencyCache(capacity=256, run_seed=3)
+        runs.append((cache.observe(data), cache.dropped, cache.active_flows()))
+    assert runs[0][1] > 0
+    assert runs[1] == runs[0] and runs[2] == runs[0]
 
 
 def test_timestamps_going_back_are_rejected():

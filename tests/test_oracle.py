@@ -4,7 +4,7 @@ from hypothesis import example, given, strategies as st
 
 from flowsift.latency import TypeFilter
 from flowsift.oracle import (RtxStats, _groups, oracle_loss, oracle_ooo, oracle_rtt,
-                             oracle_rtx, relevant_topk)
+                             oracle_rtx, top_keys)
 from flowsift.packets import PacketRecord, PacketType, canonicalize
 from flowsift.traceio import Trace
 
@@ -97,11 +97,12 @@ def test_rtx_counts():
     assert oracle_rtx(clean)[key.to_bytes()].avg_retransmissions == 1.0
 
 
-def test_relevant_topk_edges():
-    mapping = {b"a": 5, b"b": 9, b"c": 9, b"d": 1}
-    assert relevant_topk(mapping, 0) == []
-    assert relevant_topk(mapping, 99) == [b"b", b"c", b"a", b"d"]
-    assert relevant_topk(mapping, 2) == [b"b", b"c"]
+def test_top_keys_edges():
+    keys = np.frombuffer(b"abcde", dtype="V1")
+    values = np.array([5, 9, 9, 1, 0])      # a zero value is never relevant
+    assert top_keys(keys, values, 0) == []
+    assert top_keys(keys, values, 99) == [b"b", b"c", b"a", b"d"]
+    assert top_keys(keys, values, 2) == [b"b", b"c"]
 
 
 def test_order_invariance_for_rtt_loss_rtx(rng):

@@ -9,7 +9,7 @@ benchmark. Entering a recording fails in that case, and so does this test.
 import sys
 from pathlib import Path
 
-from flowsift import harness, hashing, reporter
+from flowsift import experiments, harness, hashing, reporter
 from flowsift.countsketch import CountSketchTable
 from flowsift.inject import INJECTORS, InjectionPlan
 from flowsift.latency import LatencyDetector
@@ -73,3 +73,16 @@ def test_traced_retransmit_run_counts_admissions_and_id_batches():
     admissions = tracer.calls[("t", "retransmit.admissions")]
     assert admissions >= len(det.tracked) > 0
     assert tracer.calls[("t", "retransmit.distinct_add_batch")] >= admissions
+
+
+def test_traced_desk_setup_records_synth_and_inject_spans(monkeypatch):
+    # the benchmark's synth.s and inject.s come from these spans, which
+    # need set-up to call synth.synthesize and the inject_* functions
+    monkeypatch.setattr(experiments, "_BASE_SYNTH",
+                        SynthConfig(flows=1_000, packets=10_000, duration_ns=200_000_000))
+    tracer = Tracer()
+    with tracer.recording("setup"):
+        for kind in ("latency", "loss", "ooo", "retransmit"):
+            experiments.desk_experiment(kind, trace_seed=1)
+    assert len(tracer.of("setup", "synth")) == 4
+    assert len(tracer.of("setup", "inject")) == 4
