@@ -10,10 +10,11 @@ evaluation, and a CLI harness for reproducible recall/precision sweeps.
 from .countsketch import CountSketchTable
 from .framework import FrameworkSketch, flow_id32, timestamp_weights
 from .hashing import HashPair, derive_hash_pair
-from .latency import LatencyDetector, TypeFilter
+from .latency import LatencyDetector
 from .loss import LossDetector, loss_count_estimate
 from .ooo import OooDetector, RecencyCache, TopTable
-from .packets import CanonicalPair, FlowKey, PacketRecord, PacketType, canonicalize
+from .packets import (CanonicalPair, FlowKey, PacketRecord, PacketType, TypeFilter,
+                      canonicalize)
 from .reporter import BloomGate, CandidateLog, ExactGate, controller_topk, maybe_report
 from .reports import HeavyReport
 from .retransmit import DistinctEstimator, RetransmitDetector

@@ -218,10 +218,15 @@ def _run_framework(args, trace: Trace) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    try:
+        budgets = tuple(int(b) for b in args.budgets_kb.split(","))
+    except ValueError:
+        raise ConfigError(f"--budgets-kb must be integers, got {args.budgets_kb!r}") from None
+    if args.seeds < 1:
+        raise ConfigError("--seeds must be >= 1")
     trace = load_trace(_require_trace(args))
     if args.od_pairs:
         trace = trace.to_od_pairs()
-    budgets = tuple(int(b) for b in args.budgets_kb.split(","))
     cfg = _cfg_from_args(args, budgets[0])
     results = sweep_memory(trace, _load_manifest(args), cfg, budgets, args.seeds)
     write_reports(results, args.out_dir, args.format, stem=f"sweep_{args.detector}")

@@ -2,13 +2,15 @@
 
 Ties together synthesis, injection, streaming detection, oracle
 comparison, and memory sweeps. Every class in ``DETECTORS`` is built by
-``from_config(cfg)`` and streams and ranks a trace in ``run(trace, k)``;
-``controller_inputs()`` is its candidate log and sketch snapshot, or
-``(None, None)``. Memory accounting follows the counter-array convention
-(budget = rows x buckets x 4-byte emulated counters; 40 kB with 5 rows
-means 2000 buckets per row); ``extended_memory_bytes`` is the detector's
-``memory_bytes()``, which also counts caches, gates, and tracked-flow
-state, and both figures land in the result rows.
+``from_config(cfg)``, names its exact ground truth in the static
+``oracle(trace, cfg) -> (keys, values)``, and streams and ranks a trace
+in ``run(trace, k)``; ``controller_inputs()`` is its candidate log and
+sketch snapshot, or ``(None, None)``. Memory accounting follows the
+counter-array convention (budget = rows x buckets x 4-byte emulated
+counters; 40 kB with 5 rows means 2000 buckets per row);
+``extended_memory_bytes`` is the detector's ``memory_bytes()``, which
+also counts caches, gates, and tracked-flow state, and both figures land
+in the result rows.
 """
 
 from __future__ import annotations
@@ -20,12 +22,10 @@ from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from statistics import median
 
-import numpy as np
-
-from .latency import LatencyDetector, TypeFilter
+from .latency import LatencyDetector
 from .loss import LossDetector
 from .ooo import OooDetector
-from .oracle import loss_counts, ooo_weights, rtt_totals, rtx_counts, top_keys
+from .oracle import top_keys
 from .reporter import CandidateLog
 from .retransmit import RetransmitDetector
 from .traceio import Trace
@@ -136,18 +136,9 @@ def _score(returned: list[bytes], relevant: list[bytes]) -> tuple[float, float]:
 
 
 def compute_relevant(trace: Trace, cfg: DetectorConfig, k: int) -> list[bytes]:
-    """Oracle top-k for a detector kind: the relevant set for scoring,
-    ranked from the oracle's key and value arrays."""
-    if cfg.kind == "latency":
-        return top_keys(*rtt_totals(trace, TypeFilter.named(cfg.type_filter),
-                                    time_unit_ns=cfg.time_unit_ns), k)
-    if cfg.kind == "loss":
-        return top_keys(*loss_counts(trace), k)
-    if cfg.kind == "ooo":
-        return top_keys(*ooo_weights(trace, cfg.window_ns, cfg.weight_mode), k)
-    keys, packets, distinct = rtx_counts(trace)
-    average = packets / distinct
-    return top_keys(keys, np.where(average > 1.0, average, 0.0), k)
+    """The relevant set for scoring: the top k of the kind's exact oracle."""
+    cfg.validate()
+    return top_keys(*DETECTORS[cfg.kind].oracle(trace, cfg), k)
 
 
 def check_manifest(trace: Trace, manifest: dict) -> None:

@@ -19,38 +19,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import hashing
-from .packets import CanonicalPair, FlowKey, PacketType, canonicalize
+from .oracle import rtt_totals
+from .packets import CanonicalPair, FlowKey, TypeFilter, canonicalize
 from .reporter import GatedSketchDetector
 from .reports import HeavyReport
 from .traceio import Trace
-
-
-@dataclass(frozen=True)
-class TypeFilter:
-    """Pairing rule: which packet types count as requests and responses."""
-
-    requests: frozenset
-    responses: frozenset
-
-    @classmethod
-    def syn_handshake(cls) -> "TypeFilter":
-        return cls(frozenset({PacketType.SYN}), frozenset({PacketType.SYNACK}))
-
-    @classmethod
-    def data_ack(cls) -> "TypeFilter":
-        return cls(frozenset({PacketType.DATA}), frozenset({PacketType.ACK}))
-
-    @classmethod
-    def all_pairs(cls) -> "TypeFilter":
-        return cls(frozenset({PacketType.SYN, PacketType.DATA}),
-                   frozenset({PacketType.SYNACK, PacketType.ACK}))
-
-    @classmethod
-    def named(cls, name: str) -> "TypeFilter":
-        presets = {"syn": cls.syn_handshake, "data": cls.data_ack, "all": cls.all_pairs}
-        if name not in presets:
-            raise ValueError(f"unknown type filter {name!r}; expected one of {sorted(presets)}")
-        return presets[name]()
 
 
 @dataclass
@@ -71,6 +44,12 @@ class LatencyDetector(GatedSketchDetector):
                    report_epsilon=cfg.report_epsilon,
                    type_filter=TypeFilter.named(cfg.type_filter),
                    time_unit_ns=cfg.time_unit_ns)
+
+    @staticmethod
+    def oracle(trace: Trace, cfg) -> tuple[np.ndarray, np.ndarray]:
+        """Exact round-trip total per canonical pair under the config's filter."""
+        return rtt_totals(trace, TypeFilter.named(cfg.type_filter),
+                          time_unit_ns=cfg.time_unit_ns)
 
     @property
     def trigger_types(self) -> frozenset:
@@ -96,20 +75,15 @@ class LatencyDetector(GatedSketchDetector):
     def estimate(self, key: "FlowKey | CanonicalPair | bytes") -> int:
         return self.table.estimate(_pair_bytes(key))
 
-    def topk(self, candidates, k: int, epsilon: "float | None" = None) -> HeavyReport:
-        """Top-k candidates at/above the threshold.
+    def topk(self, candidates, k: int) -> HeavyReport:
+        """The k candidates of largest magnitude.
 
         Ranked by the magnitude of the signed-median estimate: collider
         mass entering a flow's buckets carries incoherent signs and
         cancels there, where a median over row magnitudes would keep it.
         """
-        # eps * total_l1 / 2: total_l1 counts both directions, the
-        # round-trip total is taken as half
-        thr = (self.epsilon if epsilon is None else epsilon) * self.table.total_l1 / 2.0
-        scored = [(key, v) for key, v in self.table.signed_magnitudes(
-            [_pair_bytes(c) for c in candidates]) if v >= thr]
-        return HeavyReport("latency", scored[:k],
-                           total=float(self.table.total_l1), threshold=thr)
+        return HeavyReport(self.table.signed_magnitudes(
+            [_pair_bytes(c) for c in candidates])[:k])
 
 
 def _pair_bytes(key) -> bytes:

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hashing
+from .oracle import loss_counts
 from .packets import FlowKey, PacketType
 from .reporter import GatedSketchDetector
 from .reports import HeavyReport
@@ -39,6 +40,11 @@ class LossDetector(GatedSketchDetector):
         super().__post_init__()
         self.pair_sign_hash = hashing.derive_hash_pair(
             self.run_seed, 0, hashing.STREAM_PAIR_SIGN)
+
+    @staticmethod
+    def oracle(trace: Trace, cfg) -> tuple[np.ndarray, np.ndarray]:
+        """Exact missing-id count per data flow."""
+        return loss_counts(trace)
 
     def observe_batch(self, trace: Trace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Update the sketch with every DATA record of the trace.
@@ -62,19 +68,14 @@ class LossDetector(GatedSketchDetector):
     def estimate(self, key: "FlowKey | bytes") -> int:
         return self.table.estimate(_key_bytes(key))
 
-    def topk(self, candidates, k: int, epsilon: "float | None" = None) -> HeavyReport:
-        """Top-k by walk magnitude; the report carries the sum of the
-        candidates' magnitudes as the normalization thresholded against.
+    def topk(self, candidates, k: int) -> HeavyReport:
+        """The k candidates of largest walk magnitude.
 
         Magnitude means |signed-median estimate|: collider walks carry
         incoherent signs across rows and cancel in the signed median.
         """
-        scored = self.table.signed_magnitudes([_key_bytes(c) for c in candidates])
-        total = float(sum(v for _, v in scored))
-        eps = self.epsilon if epsilon is None else epsilon
-        thr = eps * total
-        entries = [(key, v) for key, v in scored if v >= thr][:k]
-        return HeavyReport("loss", entries, total=total, threshold=thr)
+        return HeavyReport(self.table.signed_magnitudes(
+            [_key_bytes(c) for c in candidates])[:k])
 
 
 def loss_count_estimate(walk_magnitude: float) -> int:

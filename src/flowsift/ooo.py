@@ -26,7 +26,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import hashing
+from .oracle import ooo_weights
 from .packets import PacketType
 from .reports import HeavyReport, ranked
 from .traceio import KEY_VOID, Trace, check_time_order
@@ -50,9 +53,10 @@ class RecencyCache:
     """Bounded map flow key -> (max seq, last packet ts) within a window.
 
     Two-way cuckoo layout: each key has one candidate slot in each half
-    of the slot array, both hashed once per batch. An entry lives in its
-    slot as ``[key, max_seq, last_ts, alternate]``, its other candidate
-    stored beside it, and ``_index`` maps each key to the slot it holds.
+    of the slot array, both hashed once per batch. An entry lives in one
+    of its key's candidates as ``[key, max_seq, last_ts, alternate]``, its
+    other candidate stored beside it, so a lookup reads the two
+    candidates and compares keys, as a switch reads two registers.
     Expiry is lazy, as in a switch register array: an entry is stale
     once ``last_ts < ts - window_ns`` at the packet being processed, and
     every read (the key lookup, the free-slot check, each step of a kick
@@ -81,7 +85,6 @@ class RecencyCache:
                                       for j in (0, 1)])
         self._half = capacity // 2
         self._slots: list[list | None] = [None] * capacity
-        self._index: dict[bytes, int] = {}
         self._last_ts = 0       # the latest DATA timestamp seen
 
     def __len__(self) -> int:
@@ -105,7 +108,7 @@ class RecencyCache:
                                            self._half)
                       + [[0], [self._half]])     # second half's offset
         keys, seqs = keys.view(KEY_VOID).ravel(), data.seq
-        window, slots, index = self.window_ns, self._slots, self._index
+        window, slots = self.window_ns, self._slots
         late = []
         # Python lists of one block of rows at a time: the whole batch as
         # lists would cost ~200 bytes of objects per row
@@ -116,9 +119,10 @@ class RecencyCache:
                     range(lo, lo + _LIST_BLOCK), keys[block].tolist(),
                     stamps[block].tolist(), seqs[block].tolist(), first, second):
                 cutoff = ts - window
-                held = index.get(key)
-                if held is not None:
-                    entry = slots[held]
+                held, entry = slot, slots[slot]
+                if entry is None or entry[0] != key:
+                    held, entry = alternate, slots[alternate]
+                if entry is not None and entry[0] == key:
                     if entry[2] >= cutoff:
                         if seq <= entry[1]:
                             late.append(i)
@@ -135,22 +139,17 @@ class RecencyCache:
         alternates; an occupant last seen before ``cutoff`` is stale and
         its slot free. Whatever key is still displaced when the chain ends
         is dropped (possibly the new key)."""
-        slots, index = self._slots, self._index
+        slots = self._slots
         occupant, other = slots[slot], slots[entry[3]]
         if (occupant is not None and occupant[2] >= cutoff
                 and (other is None or other[2] < cutoff)):
             slot, entry[3] = entry[3], slot
         for _ in range(self._MAX_KICKS):
             occupant, slots[slot] = slots[slot], entry
-            index[entry[0]] = slot
-            if occupant is None:
-                return
-            if occupant[2] < cutoff:
-                del index[occupant[0]]
+            if occupant is None or occupant[2] < cutoff:
                 return
             entry = occupant
             slot, entry[3] = entry[3], slot
-        del index[entry[0]]
         self.dropped += 1
 
     def active_flows(self) -> dict[bytes, tuple[int, int]]:
@@ -236,6 +235,11 @@ class OooDetector:
                    window_ns=cfg.window_ns, weight_mode=cfg.weight_mode,
                    run_seed=cfg.seed)
 
+    @staticmethod
+    def oracle(trace: Trace, cfg) -> tuple[np.ndarray, np.ndarray]:
+        """Exact out-of-order weight per data flow under the config's window."""
+        return ooo_weights(trace, cfg.window_ns, cfg.weight_mode)
+
     @property
     def epsilon(self) -> float:
         return 1.0 / self.slots
@@ -253,13 +257,12 @@ class OooDetector:
         weights = late.size.tolist() if self.weight_mode == "bytes" else [1] * len(late)
         absorb = self.table.absorb
         for key, weight in zip(late.key_matrix().view(KEY_VOID).ravel().tolist(), weights):
-            absorb(key, weight)
+            if weight:      # a zero-byte packet adds nothing, and takes no slot
+                absorb(key, weight)
 
     def topk(self, k: int) -> HeavyReport:
         entries = ranked([(key, w) for key, w in self.table.occupied() if w > 0])
-        entries = [(key, float(w)) for key, w in entries[:k]]
-        return HeavyReport("ooo", entries, total=float(self.table.total_weight),
-                           threshold=self.epsilon * self.table.total_weight)
+        return HeavyReport([(key, float(w)) for key, w in entries[:k]])
 
     def run(self, trace: Trace, k: int) -> HeavyReport:
         self.observe_trace(trace)

@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .packets import PacketType
+from .packets import PacketType, TypeFilter
 from .reports import rank_order
 from .traceio import Trace, stable_order
 
@@ -95,7 +95,7 @@ def top_keys(keys: np.ndarray, values: np.ndarray, k: int) -> list[bytes]:
     return keys[rank_order(matrix, values)[:k]].tolist()
 
 
-def oracle_rtt(trace: Trace, type_filter=None, *,
+def oracle_rtt(trace: Trace, type_filter: TypeFilter = TypeFilter.syn_handshake(), *,
                time_unit_ns: int = 1000) -> dict[bytes, int]:
     """Round-trip time per canonical pair, summed over FIFO-matched
     request/response pairs only: unlike the sketch, an unmatched request
@@ -103,12 +103,9 @@ def oracle_rtt(trace: Trace, type_filter=None, *,
     return _by_key(*rtt_totals(trace, type_filter, time_unit_ns=time_unit_ns))
 
 
-def rtt_totals(trace: Trace, type_filter=None, *,
+def rtt_totals(trace: Trace, type_filter: TypeFilter = TypeFilter.syn_handshake(), *,
                time_unit_ns: int = 1000) -> tuple[np.ndarray, np.ndarray]:
     """``oracle_rtt`` as arrays: every pair's void-26 key and its total."""
-    from .latency import TypeFilter
-    if type_filter is None:
-        type_filter = TypeFilter.syn_handshake()
     admitted = np.isin(trace.ptype,
                        [int(t) for t in (type_filter.requests | type_filter.responses)])
     sub = trace.select(admitted)

@@ -24,6 +24,34 @@ class PacketType(enum.IntEnum):
     FIN = 4
 
 
+@dataclass(frozen=True)
+class TypeFilter:
+    """Pairing rule: which packet types count as requests and responses."""
+
+    requests: frozenset
+    responses: frozenset
+
+    @classmethod
+    def syn_handshake(cls) -> "TypeFilter":
+        return cls(frozenset({PacketType.SYN}), frozenset({PacketType.SYNACK}))
+
+    @classmethod
+    def data_ack(cls) -> "TypeFilter":
+        return cls(frozenset({PacketType.DATA}), frozenset({PacketType.ACK}))
+
+    @classmethod
+    def all_pairs(cls) -> "TypeFilter":
+        return cls(frozenset({PacketType.SYN, PacketType.DATA}),
+                   frozenset({PacketType.SYNACK, PacketType.ACK}))
+
+    @classmethod
+    def named(cls, name: str) -> "TypeFilter":
+        presets = {"syn": cls.syn_handshake, "data": cls.data_ack, "all": cls.all_pairs}
+        if name not in presets:
+            raise ValueError(f"unknown type filter {name!r}; expected one of {sorted(presets)}")
+        return presets[name]()
+
+
 KEY_BYTES = 13
 RECORD_BYTES = 42
 

@@ -165,8 +165,7 @@ def controller_topk(snapshot: "bytes | CountSketchTable", log: CandidateLog,
         else CountSketchTable.from_bytes(snapshot)
     if log.seed_signature and log.seed_signature != table.seed_signature():
         raise ValueError("snapshot seeds do not match the candidate log's run")
-    return HeavyReport("controller", table.signed_magnitudes(log.keys())[:k],
-                       total=float(table.total_l1))
+    return HeavyReport(table.signed_magnitudes(log.keys())[:k])
 
 
 @dataclass
@@ -174,10 +173,11 @@ class GatedSketchDetector:
     """A count-sketch detector and its mirroring gate: one fixed-memory unit.
 
     Subclasses define ``observe_batch(trace) -> (admitted mask, key matrix,
-    folds)``, ``trigger_types`` and ``topk(candidates, k, epsilon)``. A flow
-    is mirrored into ``candidates`` the first time a chunk holding one of
-    its trigger-type packets ends with its |estimate| at or above
-    ``report_epsilon`` times half the running total.
+    folds)``, ``trigger_types``, ``topk(candidates, k)`` and ``oracle``. A
+    flow is mirrored into ``candidates`` the first time a chunk holding one
+    of its trigger-type packets ends with its |estimate| at or above
+    ``report_epsilon`` times half the running total: the only threshold;
+    ``topk`` ranks the mirrored keys.
     """
 
     buckets: int = 2000
@@ -196,10 +196,6 @@ class GatedSketchDetector:
         """Build from a ``harness.DetectorConfig``."""
         return cls(buckets=cfg.buckets, rows=cfg.rows, run_seed=cfg.seed,
                    report_epsilon=cfg.report_epsilon)
-
-    @property
-    def epsilon(self) -> float:
-        return self.table.epsilon
 
     def observe(self, packet) -> None:
         """One packet, as a trace of one."""
@@ -223,7 +219,7 @@ class GatedSketchDetector:
             self.candidates.entries.extend(
                 (blob[j * width:(j + 1) * width], now, value)
                 for j, value in enumerate(estimates[new].astype(float).tolist()))
-        return self.topk(self.candidates.keys(), k, epsilon=0.0)
+        return self.topk(self.candidates.keys(), k)
 
     def controller_inputs(self) -> tuple[CandidateLog, bytes]:
         """The candidate log and the table snapshot the controller re-ranks."""

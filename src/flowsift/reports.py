@@ -9,13 +9,9 @@ import numpy as np
 
 @dataclass
 class HeavyReport:
-    """Ranked (key bytes, estimated statistic) list plus the running total
-    the detector thresholds against."""
+    """A detector's ranked (key bytes, estimated statistic) list."""
 
-    detector: str
     entries: list[tuple[bytes, float]] = field(default_factory=list)
-    total: float = 0.0
-    threshold: float = 0.0
 
     def keys(self) -> list[bytes]:
         return [k for k, _ in self.entries]

@@ -20,6 +20,7 @@ import numpy as np
 
 from . import hashing
 from .countsketch import CountSketchTable
+from .oracle import rtx_counts
 from .packets import KEY_BYTES, PacketType
 from .reports import HeavyReport, ranked
 from .traceio import Trace, check_time_order
@@ -165,6 +166,14 @@ class RetransmitDetector:
         return cls(buckets=cfg.buckets, rows=cfg.rows, run_seed=cfg.seed,
                    epsilon=cfg.epsilon, k_threshold=cfg.k_threshold, registers=1024)
 
+    @staticmethod
+    def oracle(trace: Trace, cfg) -> tuple[np.ndarray, np.ndarray]:
+        """Exact average transmissions per distinct id of every data flow,
+        zeroed where no id was sent twice on average."""
+        keys, packets, distinct = rtx_counts(trace)
+        average = packets / distinct
+        return keys, np.where(average > 1.0, average, 0.0)
+
     def _tracked_estimates(self) -> list[tuple[int, bytes]]:
         """(sketch estimate, key) of every tracked flow, in one batch."""
         folds = np.fromiter((flow.fold for flow in self.tracked.values()),
@@ -254,14 +263,11 @@ class RetransmitDetector:
             raise ValueError("retransmission threshold k must exceed 1")
         thr = k_threshold / 4.0
         entries = [(key, flow.ratio()) for key, flow in self.tracked.items()]
-        entries = ranked([(key, r) for key, r in entries if r >= thr])
-        return HeavyReport("retransmit", entries, total=float(self.total), threshold=thr)
+        return HeavyReport(ranked([(key, r) for key, r in entries if r >= thr]))
 
     def run(self, trace: Trace, k: int) -> HeavyReport:
         self.observe_trace(trace)
-        report = self.report(self.k_threshold)
-        report.entries = report.entries[:k]
-        return report
+        return HeavyReport(self.report(self.k_threshold).entries[:k])
 
     def controller_inputs(self) -> tuple[None, None]:
         return None, None       # no controller re-rank: the report is final

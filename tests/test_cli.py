@@ -174,6 +174,16 @@ def test_out_of_range_knob_is_config_error(workspace, capsys, detector, flag, va
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag,value", [("--budgets-kb", "40,abc"), ("--seeds", 0)],
+                         ids=["budgets-not-integers", "seeds-zero"])
+def test_sweep_argument_error_is_config_error(workspace, capsys, tmp_path, flag, value):
+    _, trace = workspace
+    assert run_cli("--trace", trace, "--out-dir", tmp_path,
+                   "sweep", "--detector", "loss", flag, value) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 def test_missing_trace_flag_is_config_error():
     assert run_cli("run", "--detector", "latency") == 2
 

@@ -3,17 +3,18 @@ import json
 import numpy as np
 import pytest
 
-from flowsift import reporter
+from flowsift import harness, reporter
 from flowsift.harness import (ConfigError, DataError, DetectorConfig,
                               EvalResult, compute_relevant, median_recall, read_json,
                               run_experiment, sweep_memory, write_csv, write_json,
                               write_reports, _score)
 from flowsift.inject import INJECTORS, InjectionPlan, inject_latency, inject_loss
-from flowsift.latency import LatencyDetector, TypeFilter
+from flowsift.latency import LatencyDetector
 from flowsift.loss import LossDetector
 from flowsift.ooo import OooDetector, ooo_shape
-from flowsift.packets import PacketType
+from flowsift.packets import PacketType, TypeFilter
 from flowsift.reporter import BloomGate, CandidateLog, controller_topk, maybe_report
+from flowsift.reports import HeavyReport
 from flowsift.synth import SynthConfig, synthesize
 from flowsift.traceio import Trace
 
@@ -96,8 +97,47 @@ def test_run_experiment_rejects_wrong_manifest(latency_setup):
 
 def test_unknown_detector_rejected(latency_setup):
     trace, manifest = latency_setup
-    with pytest.raises(ConfigError):
-        run_experiment(trace, manifest, DetectorConfig("sonar"))
+    cfg = DetectorConfig("sonar")
+    for call in (lambda: run_experiment(trace, manifest, cfg),
+                 lambda: compute_relevant(trace, cfg, 10),
+                 lambda: sweep_memory(trace, manifest, cfg, budgets_kb=(40,), seeds=1)):
+        with pytest.raises(ConfigError):
+            call()
+
+
+class StubDetector:
+    """A kind the harness has no code for: its oracle ranks flows 0, 2, 1,
+    and it reports flows 0 and 1."""
+
+    KEYS = np.frombuffer(b"".join(make_key(i).to_bytes() for i in range(3)), dtype="V13")
+
+    @classmethod
+    def from_config(cls, cfg):
+        return cls()
+
+    @staticmethod
+    def oracle(trace, cfg):
+        return StubDetector.KEYS, np.array([3, 1, 2])
+
+    def run(self, trace, k):
+        return HeavyReport([(key, 1.0) for key in self.KEYS[:2].tolist()])
+
+    def controller_inputs(self):
+        return None, None
+
+    def memory_bytes(self):
+        return 7
+
+
+def test_new_kind_needs_no_harness_edit(latency_setup, monkeypatch):
+    monkeypatch.setitem(harness.DETECTORS, "stub", StubDetector)
+    trace, manifest = latency_setup
+    art = run_experiment(trace, manifest, DetectorConfig("stub"), k=2)
+    key = [make_key(i).to_bytes() for i in range(3)]
+    assert art.relevant == [key[0], key[2]]
+    assert art.returned == [key[0], key[1]]
+    assert (art.result.recall, art.result.precision) == (0.5, 0.5)
+    assert art.result.extended_memory_bytes == 7
 
 
 def test_sweep_shape_and_median(latency_setup):

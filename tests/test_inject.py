@@ -4,8 +4,8 @@ import pytest
 from flowsift.inject import (InjectionPlan, inject_duplicate, inject_latency,
                              inject_loss, inject_reorder, rank_flows,
                              select_victims)
-from flowsift.latency import TypeFilter
 from flowsift.oracle import oracle_loss, oracle_ooo, oracle_rtt
+from flowsift.packets import TypeFilter
 from flowsift.synth import SynthConfig, synthesize
 
 

@@ -234,25 +234,52 @@ packets_st = st.lists(st.tuples(st.integers(0, 11), st.integers(0, 6), st.intege
                       min_size=1, max_size=80)
 
 
-@given(packets_st, st.integers(1, 8).map(lambda half: 2 * half),    # even capacities 2..16
-       st.integers(0, 40), st.integers(0, 3), st.lists(st.integers(1, 12), max_size=80))
-def test_lazy_expiry_matches_eager_reference(packets, capacity, window, run_seed, sizes):
+cache_st = (packets_st, st.integers(1, 8).map(lambda half: 2 * half),   # even capacities 2..16
+            st.integers(0, 40), st.integers(0, 3), st.lists(st.integers(1, 12), max_size=80))
+
+
+def cache_batches(packets, sizes):
+    """The packets as one trace, cut into batches of the given sizes and then the rest."""
     records, ts = [], 0
     for k, seq, gap in packets:
         ts += gap
         records.append(data_packet(make_key(k), seq, ts))
     trace = Trace.from_records(records)
-    cache = RecencyCache(capacity, window, run_seed=run_seed)
-    reference = EagerCache(capacity, window, run_seed)
     start = 0
-    for size in sizes + [len(trace)]:   # random batches, then the rest
+    for size in sizes + [len(trace)]:
         batch = trace.select(np.arange(start, min(start + size, len(trace))))
         start += len(batch)
+        yield batch
+
+
+@given(*cache_st)
+def test_lazy_expiry_matches_eager_reference(packets, capacity, window, run_seed, sizes):
+    cache = RecencyCache(capacity, window, run_seed=run_seed)
+    reference = EagerCache(capacity, window, run_seed)
+    for batch in cache_batches(packets, sizes):
         assert cache.observe(batch) == reference.observe(batch)
         assert cache.dropped == reference.dropped
         assert len(cache) == len(reference.entries)
         assert cache.active_flows() == {k: (e[0], e[1])
                                         for k, e in reference.entries.items()}
+
+
+@given(*cache_st)
+def test_every_entry_sits_in_one_of_its_candidates(packets, capacity, window, run_seed, sizes):
+    # a lookup reads only the key's two candidate slots, so every entry, live
+    # or stale, must sit in one of them with the other as its stored alternate
+    cache = RecencyCache(capacity, window, run_seed=run_seed)
+    hashes = [hashing.derive_hash_pair(run_seed, j, hashing.STREAM_CACHE) for j in (0, 1)]
+    half = capacity // 2
+    for batch in cache_batches(packets, sizes):
+        cache.observe(batch)
+        held = [(slot, entry) for slot, entry in enumerate(cache._slots) if entry is not None]
+        for slot, entry in held:
+            fold = hashing.fold64_keys([entry[0]])
+            candidates = {int(hashing.bucket_batch(h, fold, half)[0]) + offset
+                          for h, offset in zip(hashes, (0, half))}
+            assert {slot, entry[3]} == candidates
+        assert len({entry[0] for _, entry in held}) == len(held)
 
 
 @pytest.fixture(scope="module")
@@ -300,6 +327,19 @@ def test_cache_lists_per_block_keep_every_decision(reorder_trace, monkeypatch):
         runs.append((cache.observe(data), cache.dropped, cache.active_flows()))
     assert runs[0][1] > 0
     assert runs[1] == runs[0] and runs[2] == runs[0]
+
+
+def test_zero_byte_late_packets_add_no_weight():
+    # both trace formats accept a size of 0; such a late packet weighs
+    # nothing, as in the oracle, and must not abort the run or take a slot
+    key, other = make_key(1), make_key(2)
+    trace = Trace.from_records([
+        data_packet(key, 2, 0), data_packet(key, 1, 10, size=0),
+        data_packet(other, 3, 20), data_packet(other, 1, 30, size=50),
+        data_packet(other, 2, 40, size=0)])
+    det = OooDetector(slots=1, cache_capacity=16)
+    det.observe_trace(trace)
+    assert dict(det.table.occupied()) == oracle_ooo(trace) == {other.to_bytes(): 50}
 
 
 def test_timestamps_going_back_are_rejected():

@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from flowsift.latency import TypeFilter
 from flowsift.oracle import (RtxStats, _groups, oracle_loss, oracle_ooo, oracle_rtt,
                              oracle_rtx, top_keys)
-from flowsift.packets import PacketRecord, PacketType, canonicalize
+from flowsift.packets import PacketRecord, PacketType, TypeFilter, canonicalize
 from flowsift.traceio import Trace
 
 from conftest import data_packet, flow_stream, make_key
