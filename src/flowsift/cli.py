@@ -15,7 +15,7 @@ import numpy as np
 from . import hashing
 from .framework import FrameworkSketch, flow_id32_batch
 from .harness import (ConfigError, DataError, DetectorConfig, DETECTORS,
-                      DEFAULT_BUDGETS_KB, median_recall, read_json,
+                      DEFAULT_BUDGETS_KB, check_manifest, median_recall, read_json,
                       run_experiment, sweep_memory, write_reports)
 from .inject import INJECTORS, InjectionPlan
 from .packets import PacketType
@@ -140,6 +140,18 @@ def _require_trace(args) -> Path:
     return args.trace
 
 
+def _run_input(args, trace: Trace) -> tuple[Trace, dict]:
+    """The trace and manifest a detector run sees. The manifest pins the
+    file's trace, so it is checked before ``--od-pairs`` collapses the
+    keys, and the collapsed trace is run without the file's hash."""
+    manifest = _load_manifest(args)
+    if args.od_pairs:
+        check_manifest(trace, manifest)
+        trace = trace.to_od_pairs()
+        manifest = {key: v for key, v in manifest.items() if key != "trace_sha256"}
+    return trace, manifest
+
+
 def _cmd_synth(args) -> int:
     cfg = SynthConfig(flows=args.flows, packets=args.packets, zipf_s=args.zipf,
                       bidirectional=not args.unidirectional,
@@ -179,12 +191,10 @@ def _cmd_inject(args) -> int:
 
 def _cmd_run(args) -> int:
     trace = load_trace(_require_trace(args))
-    if args.od_pairs:
-        trace = trace.to_od_pairs()
     if args.detector == "framework-count":
-        return _run_framework(args, trace)
+        return _run_framework(args, trace.to_od_pairs() if args.od_pairs else trace)
     cfg = _cfg_from_args(args, args.budget_kb)
-    artifacts = run_experiment(trace, _load_manifest(args), cfg)
+    artifacts = run_experiment(*_run_input(args, trace), cfg)
     if args.save_snapshot and artifacts.snapshot:
         args.save_snapshot.write_bytes(artifacts.snapshot)
     if args.save_candidates and artifacts.candidates:
@@ -224,11 +234,9 @@ def _cmd_sweep(args) -> int:
         raise ConfigError(f"--budgets-kb must be integers, got {args.budgets_kb!r}") from None
     if args.seeds < 1:
         raise ConfigError("--seeds must be >= 1")
-    trace = load_trace(_require_trace(args))
-    if args.od_pairs:
-        trace = trace.to_od_pairs()
+    trace, manifest = _run_input(args, load_trace(_require_trace(args)))
     cfg = _cfg_from_args(args, budgets[0])
-    results = sweep_memory(trace, _load_manifest(args), cfg, budgets, args.seeds)
+    results = sweep_memory(trace, manifest, cfg, budgets, args.seeds)
     write_reports(results, args.out_dir, args.format, stem=f"sweep_{args.detector}")
     for budget, rec in median_recall(results).items():
         print(f"{args.detector} @ {budget // 1000} kB: median recall {rec:.3f}")

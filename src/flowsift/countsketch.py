@@ -106,13 +106,21 @@ class CountSketchTable:
 
     # -- queries -------------------------------------------------------------
 
-    def signed_magnitudes(self, keys: list[bytes]) -> list[tuple[bytes, float]]:
-        """(key, |signed-median estimate|) of equal-width keys, in ``rank_order``."""
-        if not keys:
+    def signed_magnitudes(self, keys: list[bytes], k: int) -> list[tuple[bytes, float]]:
+        """The first k of (key, |signed-median estimate|) over equal-width
+        keys in ``rank_order``.
+
+        Only the keys at or above the k-th largest value, which hold the
+        first k, are ranked.
+        """
+        if not keys or k < 1:
             return []
         matrix = np.frombuffer(b"".join(keys), dtype=np.uint8).reshape(len(keys), -1)
         values = np.abs(self.estimate_batch(hashing.fold64_matrix(matrix))).astype(float)
-        order = rank_order(matrix, values).tolist()
+        top = np.arange(len(keys))
+        if k < len(keys):
+            top = np.flatnonzero(values >= np.partition(values, -k)[-k])
+        order = top[rank_order(matrix[top], values[top])[:k]].tolist()
         return [(keys[i], v) for i, v in zip(order, values[order].tolist())]
 
     # -- linearity -----------------------------------------------------------

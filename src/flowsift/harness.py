@@ -179,7 +179,6 @@ def sweep_memory(trace: Trace, manifest: dict, cfg: DetectorConfig,
                  budgets_kb=DEFAULT_BUDGETS_KB, seeds: int = 10) -> list[EvalResult]:
     """One row per (budget, seed) over a fixed trace; decimal kilobytes."""
     check_manifest(trace, manifest)
-    manifest = {key: v for key, v in manifest.items() if key != "trace_sha256"}
     relevant = compute_relevant(trace, cfg, cfg.k)
     results = []
     for budget_kb in budgets_kb:

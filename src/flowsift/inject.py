@@ -208,9 +208,9 @@ def _victim_ooo(trace: Trace, ts: np.ndarray, rows: np.ndarray, window_ns: int) 
     """``oracle_ooo`` of the victims' rows alone, restamped with ``ts``: the
     oracle is per flow, and those rows, time-sorted on their own, keep
     their order in the output trace."""
-    victim = trace.select(rows)
-    victim.arr["ts"] = ts[rows]
-    return oracle_ooo(victim.time_sorted(), window_ns=window_ns)
+    victim = np.take(trace.arr, np.flatnonzero(rows))
+    victim["ts"] = ts[rows]
+    return oracle_ooo(Trace(victim).time_sorted(), window_ns=window_ns)
 
 
 def inject_duplicate(trace: Trace, plan: InjectionPlan,

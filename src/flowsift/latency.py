@@ -21,7 +21,7 @@ import numpy as np
 from . import hashing
 from .oracle import rtt_totals
 from .packets import CanonicalPair, FlowKey, TypeFilter, canonicalize
-from .reporter import GatedSketchDetector
+from .reporter import GatedSketchDetector, SketchInput
 from .reports import HeavyReport
 from .traceio import Trace
 
@@ -51,26 +51,19 @@ class LatencyDetector(GatedSketchDetector):
         return rtt_totals(trace, TypeFilter.named(cfg.type_filter),
                           time_unit_ns=cfg.time_unit_ns)
 
-    @property
-    def trigger_types(self) -> frozenset:
-        return self.type_filter.responses
-
-    def observe_batch(self, trace: Trace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Update the sketch with every admitted packet of the trace.
-
-        Returns the admitted mask over the trace, then the canonical pair
-        bytes and their folds for the admitted packets in trace order, for
-        the caller's trigger logic.
-        """
-        admitted = np.isin(trace.ptype,
-                           [int(t) for t in (self.type_filter.requests | self.type_filter.responses)])
-        self.skipped += int(len(trace) - admitted.sum())
-        sub = trace.select(admitted)
+    def observe_batch(self, trace: Trace) -> SketchInput:
+        """The trace's sketch input: every admitted packet's canonical pair
+        bytes and fold, and its timestamp in counter units, signed by
+        direction; responses trigger. Counts the skipped packets."""
+        kinds = self.type_filter.requests | self.type_filter.responses
+        rows = np.flatnonzero(np.isin(trace.ptype, [int(t) for t in kinds]))
+        self.skipped += len(trace) - len(rows)
+        sub = trace.select(rows)
         matrix, fwd = sub.canonical_matrix()
-        folds = hashing.fold64_matrix(matrix)
         mag = sub.ts.astype(np.int64) // self.time_unit_ns
-        self.table.update_batch(folds, np.where(fwd, mag, -mag))
-        return admitted, matrix, folds
+        trigger = np.isin(sub.ptype, [int(t) for t in self.type_filter.responses])
+        return SketchInput(rows, matrix, hashing.fold64_matrix(matrix),
+                           np.where(fwd, mag, -mag), trigger)
 
     def estimate(self, key: "FlowKey | CanonicalPair | bytes") -> int:
         return self.table.estimate(_pair_bytes(key))
@@ -83,7 +76,7 @@ class LatencyDetector(GatedSketchDetector):
         cancels there, where a median over row magnitudes would keep it.
         """
         return HeavyReport(self.table.signed_magnitudes(
-            [_pair_bytes(c) for c in candidates])[:k])
+            [_pair_bytes(c) for c in candidates], k))
 
 
 def _pair_bytes(key) -> bytes:

@@ -24,7 +24,7 @@ import numpy as np
 from . import hashing
 from .oracle import loss_counts
 from .packets import FlowKey, PacketType
-from .reporter import GatedSketchDetector
+from .reporter import GatedSketchDetector, SketchInput
 from .reports import HeavyReport
 from .traceio import Trace
 
@@ -33,8 +33,6 @@ from .traceio import Trace
 class LossDetector(GatedSketchDetector):
     """Paired-id +/-1 sketch over data-direction flow keys; the gate
     evaluates flows that carried DATA."""
-
-    trigger_types = (PacketType.DATA,)
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -46,24 +44,21 @@ class LossDetector(GatedSketchDetector):
         """Exact missing-id count per data flow."""
         return loss_counts(trace)
 
-    def observe_batch(self, trace: Trace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Update the sketch with every DATA record of the trace.
-
-        Returns the DATA mask over the trace, then the key bytes and their
-        folds for the DATA records in trace order.
-        """
-        admitted = trace.ptype == int(PacketType.DATA)
-        data = trace.select(admitted)
-        self.skipped += len(trace) - len(data)
+    def observe_batch(self, trace: Trace) -> SketchInput:
+        """The trace's sketch input: every DATA record's key bytes and
+        fold, and its paired-id step; every DATA record triggers. Counts
+        the skipped records."""
+        rows = np.flatnonzero(trace.ptype == int(PacketType.DATA))
+        self.skipped += len(trace) - len(rows)
+        data = trace.select(rows)
         seq = data.seq.astype(np.int64)
         if seq.min(initial=1) < 1:
             raise ValueError("packet ids must be >= 1")
         pair_folds = hashing.fold64_ints(((seq + 1) // 2).astype(np.uint64))
         g = hashing.sign_batch(self.pair_sign_hash, pair_folds)
         keys = data.key_matrix()
-        folds = hashing.fold64_matrix(keys)
-        self.table.update_batch(folds, np.where(seq % 2 == 1, g, -g))
-        return admitted, keys, folds
+        return SketchInput(rows, keys, hashing.fold64_matrix(keys),
+                           np.where(seq % 2 == 1, g, -g), np.ones(len(rows), dtype=bool))
 
     def estimate(self, key: "FlowKey | bytes") -> int:
         return self.table.estimate(_key_bytes(key))
@@ -75,7 +70,7 @@ class LossDetector(GatedSketchDetector):
         incoherent signs across rows and cancel in the signed median.
         """
         return HeavyReport(self.table.signed_magnitudes(
-            [_key_bytes(c) for c in candidates])[:k])
+            [_key_bytes(c) for c in candidates], k))
 
 
 def loss_count_estimate(walk_magnitude: float) -> int:

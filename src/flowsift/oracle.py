@@ -24,14 +24,7 @@ import numpy as np
 
 from .packets import PacketType, TypeFilter
 from .reports import rank_order
-from .traceio import Trace, stable_order
-
-
-def _run_starts(ordered: np.ndarray) -> np.ndarray:
-    """Where each run of equal values in a sorted array begins."""
-    new = np.ones(len(ordered), dtype=bool)
-    new[1:] = ordered[1:] != ordered[:-1]
-    return np.flatnonzero(new)
+from .traceio import Trace, run_starts, stable_order
 
 
 def _groups(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -52,7 +45,7 @@ def _groups(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         digit[:, 8 - part.shape[1]:] = part
         order = order[stable_order(digit.view(">u8").ravel()[order])]
     ordered = np.ascontiguousarray(matrix).view((np.void, width)).ravel()[order]
-    starts = _run_starts(ordered)
+    starts = run_starts(ordered)
     return order, starts, ordered[starts]
 
 
@@ -139,7 +132,7 @@ def _distinct_per_flow(seq: np.ndarray, starts: np.ndarray) -> np.ndarray:
     """Distinct ids per flow; flows are contiguous runs starting at ``starts``."""
     ordered = seq[np.lexsort((seq, _group_ids(starts, len(seq))))]
     new = np.zeros(len(seq), dtype=bool)
-    new[_run_starts(ordered)] = True
+    new[run_starts(ordered)] = True
     new[starts] = True
     return np.add.reduceat(new, starts)
 

@@ -11,9 +11,10 @@ The Bloom gate takes a batch of prefolded keys (``insert_folds``); the
 per-key ``insert``, ``in`` and ``maybe_report`` are batches of one.
 
 ``GatedSketchDetector``, the latency and loss detectors' base, is a
-sketch plus the gate, streamed in chunks: sketch updates are exact, and
-the gate, the only dedup, is fed once per chunk the flows that carried a
-triggering packet in it.
+sketch plus the gate, streamed in chunks: the whole trace's sketch input
+is prepared once, sketch updates are exact, and the gate, the only
+dedup, is fed once per chunk the flows that carried a triggering packet
+in it.
 """
 
 from __future__ import annotations
@@ -21,13 +22,14 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from . import hashing
 from .countsketch import CountSketchTable
 from .reports import HeavyReport
-from .traceio import Trace
+from .traceio import Trace, run_starts, stable_order
 
 CHUNK = 8192            # records per gate evaluation
 GATE_BITS = 1 << 20     # the mirroring gate's Bloom bits
@@ -165,19 +167,29 @@ def controller_topk(snapshot: "bytes | CountSketchTable", log: CandidateLog,
         else CountSketchTable.from_bytes(snapshot)
     if log.seed_signature and log.seed_signature != table.seed_signature():
         raise ValueError("snapshot seeds do not match the candidate log's run")
-    return HeavyReport(table.signed_magnitudes(log.keys())[:k])
+    return HeavyReport(table.signed_magnitudes(log.keys(), k))
+
+
+class SketchInput(NamedTuple):
+    """What a trace feeds a gated sketch: one entry per admitted record."""
+
+    rows: np.ndarray        # the admitted records' row indices, ascending
+    keys: np.ndarray        # (len(rows), w) uint8 key bytes
+    folds: np.ndarray       # the keys' 64-bit folds
+    deltas: np.ndarray      # int64 sketch updates
+    trigger: np.ndarray     # True where the record may mirror its flow
 
 
 @dataclass
 class GatedSketchDetector:
     """A count-sketch detector and its mirroring gate: one fixed-memory unit.
 
-    Subclasses define ``observe_batch(trace) -> (admitted mask, key matrix,
-    folds)``, ``trigger_types``, ``topk(candidates, k)`` and ``oracle``. A
-    flow is mirrored into ``candidates`` the first time a chunk holding one
-    of its trigger-type packets ends with its |estimate| at or above
-    ``report_epsilon`` times half the running total: the only threshold;
-    ``topk`` ranks the mirrored keys.
+    Subclasses define ``observe_batch(trace) -> SketchInput``, which counts
+    the records it skips and leaves the sketch alone, ``topk(candidates,
+    k)`` and ``oracle``. A flow is mirrored into ``candidates`` the first
+    time a chunk holding one of its trigger records ends with its
+    |estimate| at or above ``report_epsilon`` times half the running
+    total: the only threshold; ``topk`` ranks the mirrored keys.
     """
 
     buckets: int = 2000
@@ -198,24 +210,34 @@ class GatedSketchDetector:
                    report_epsilon=cfg.report_epsilon)
 
     def observe(self, packet) -> None:
-        """One packet, as a trace of one."""
-        self.observe_batch(Trace.from_records([packet]))
+        """One packet, as a trace of one: its sketch input applied at once."""
+        fed = self.observe_batch(Trace.from_records([packet]))
+        self.table.update_batch(fed.folds, fed.deltas)
 
     def run(self, trace: Trace, k: int) -> HeavyReport:
-        """Stream the trace chunk by chunk through the sketch and the gate,
-        then rank the mirrored keys."""
-        trigger_codes = [int(t) for t in self.trigger_types]
-        for lo in range(0, len(trace), CHUNK):
-            sub = trace.select(slice(lo, lo + CHUNK))
-            admitted, keys, folds = self.observe_batch(sub)
-            rows = np.flatnonzero(np.isin(sub.ptype[admitted], trigger_codes))
-            hot, first = np.unique(folds[rows], return_index=True)
+        """Prepare the trace's sketch input once, stream it chunk by chunk
+        through the sketch and the gate, then rank the mirrored keys."""
+        fed = self.observe_batch(trace)
+        starts = range(0, len(trace), CHUNK)
+        triggers = np.flatnonzero(fed.trigger)
+        cuts = np.searchsorted(fed.rows, [*starts, len(trace)])    # each chunk's entries
+        trigger_cuts = np.searchsorted(triggers, cuts).tolist()
+        cuts = cuts.tolist()
+        stamps, width = trace.ts, fed.keys.shape[1]
+        for i, lo in enumerate(starts):
+            self.table.update_batch(fed.folds[cuts[i]:cuts[i + 1]],
+                                    fed.deltas[cuts[i]:cuts[i + 1]])
+            rows = triggers[trigger_cuts[i]:trigger_cuts[i + 1]]
+            folds = fed.folds[rows]
+            order = stable_order(folds)
+            first = order[run_starts(folds[order])]     # each flow's first trigger row
+            hot = folds[first]
             estimates = np.abs(self.table.estimate_batch(hot))
             threshold = self.report_epsilon * self.table.total_l1 / 2.0
             crossing = np.flatnonzero(estimates >= threshold)
-            now = int(sub.ts[-1])
+            now = int(stamps[min(lo + CHUNK, len(trace)) - 1])
             new = crossing[self.gate.insert_folds(hot[crossing])]
-            blob, width = keys[rows[first[new]]].tobytes(), keys.shape[1]
+            blob = fed.keys[rows[first[new]]].tobytes()
             self.candidates.entries.extend(
                 (blob[j * width:(j + 1) * width], now, value)
                 for j, value in enumerate(estimates[new].astype(float).tolist()))

@@ -23,7 +23,7 @@ from .countsketch import CountSketchTable
 from .oracle import rtx_counts
 from .packets import KEY_BYTES, PacketType
 from .reports import HeavyReport, ranked
-from .traceio import Trace, check_time_order
+from .traceio import Trace, check_time_order, run_starts, stable_order
 
 
 def _bit_length(values: np.ndarray) -> np.ndarray:
@@ -188,14 +188,15 @@ class RetransmitDetector:
         self.tracked[key] = TrackedFlow(key, ts, registers=self.registers,
                                         instances=self.instances, seed=self.run_seed)
 
-    def _sweep(self) -> set[int]:
+    def _sweep(self) -> np.ndarray:
         """Drop every tracked flow the sketch has stopped reporting; return
-        the folds of the flows still tracked."""
+        the folds of the flows still tracked, sorted."""
         drop_thr = self.epsilon / 4.0 * self.total
         for estimate, key in self._tracked_estimates():
             if estimate < drop_thr:
                 del self.tracked[key]
-        return {flow.fold for flow in self.tracked.values()}
+        return np.sort(np.fromiter((flow.fold for flow in self.tracked.values()),
+                                   dtype=np.uint64, count=len(self.tracked)))
 
     def observe(self, packet) -> None:
         """One packet, as a trace of one."""
@@ -228,20 +229,17 @@ class RetransmitDetector:
             chunk_folds = folds[lo:hi]
             self.sketch.update_batch(chunk_folds, np.ones(hi - lo, dtype=np.int64))
             self.total += hi - lo
-            order = np.argsort(chunk_folds, kind="stable")
+            order = stable_order(chunk_folds)
             ordered = chunk_folds[order]
-            head = np.empty(hi - lo, dtype=bool)    # True at each flow's first row
-            head[0] = True
-            np.not_equal(ordered[1:], ordered[:-1], out=head[1:])
-            starts = head.nonzero()[0]
+            starts = run_starts(ordered)
             uniq = ordered[starts]
             estimates = self.sketch.estimate_batch(uniq)
             admit_thr = self.epsilon / 2.0 * self.total
             tracked_folds = self._sweep()
             # a flow neither tracked nor at the admission threshold finds no
             # entry and is not admitted: only the others are visited
-            in_tracked = np.fromiter(map(tracked_folds.__contains__, uniq.tolist()),
-                                     dtype=bool, count=len(uniq))
+            at = np.minimum(np.searchsorted(tracked_folds, uniq), len(tracked_folds) - 1)
+            in_tracked = tracked_folds[at] == uniq if len(tracked_folds) else False
             visit = ((estimates >= admit_thr) | in_tracked).nonzero()[0]
             bounds = starts.tolist() + [hi - lo]
             firsts = order[starts].tolist()         # each flow's first row in the chunk

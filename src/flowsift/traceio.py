@@ -7,6 +7,8 @@ line, hex endpoints) is accepted for hand-written fixtures.
 
 Detectors and injectors work on the columnar ``Trace`` rather than
 record objects; a million-packet epoch stays a handful of numpy arrays.
+A trace's records are read-only: code that derives a trace builds its
+new record array first and wraps it last.
 """
 
 from __future__ import annotations
@@ -42,12 +44,18 @@ _TIME_ORDER = ("seq", "ptype", "dport", "sport", "dst", "src", "ts")
 
 
 class Trace:
-    """Columnar packet trace backed by one structured numpy array."""
+    """Columnar packet trace backed by one read-only structured numpy array.
+
+    The constructor marks the array it wraps read-only, so neither the
+    trace nor its column and slice views can write into the records.
+    """
 
     def __init__(self, arr: np.ndarray):
         if arr.dtype != RECORD_DTYPE:
             arr = arr.astype(RECORD_DTYPE)
+        arr.flags.writeable = False
         self._arr = arr
+        self._sha256: "str | None" = None
 
     def __len__(self) -> int:
         return len(self._arr)
@@ -124,7 +132,17 @@ class Trace:
         return Trace(a)
 
     def sha256(self) -> str:
-        """Digest of the file bytes, read in place from the packed records."""
+        """Digest of the file bytes, computed once and kept while no
+        writable array can reach the records (``_sealed``); a trace over a
+        view of a writable array is hashed on every call."""
+        if not _sealed(self._arr):
+            return self._digest()
+        if self._sha256 is None:
+            self._sha256 = self._digest()
+        return self._sha256
+
+    def _digest(self) -> str:
+        """sha256 of the file bytes, read in place from the packed records."""
         digest = hashlib.sha256(TRACE_MAGIC)
         digest.update(self._record_bytes())
         return digest.hexdigest()
@@ -156,14 +174,28 @@ class Trace:
         return a.view(np.uint8).reshape(len(a), RECORD_BYTES)
 
 
+def _sealed(arr: np.ndarray) -> bool:
+    """True when every array from ``arr`` to the memory's owner is
+    read-only and the owner is an array or ``bytes``. A writable view
+    made of the owner before it was wrapped is not seen."""
+    while isinstance(arr, np.ndarray):
+        if arr.flags.writeable:
+            return False
+        arr = arr.base
+    return arr is None or isinstance(arr, bytes)
+
+
 def stable_order(values: np.ndarray) -> np.ndarray:
-    """``np.argsort(values, kind="stable")`` for an integer array.
+    """``np.argsort(values, kind="stable")`` for an integer array of at
+    most 2^32 values.
 
     When the span max - min and the row index fit in 64 bits together,
     each row becomes the one uint64 ``(value - min) << index_bits | row``:
     these are distinct, so any sort gives the stable order, and numpy's
     vectorised quicksort sorts them several times faster than a stable
-    argsort. Wider spans fall back to the stable argsort.
+    argsort. A wider span (hash folds, say) is first replaced by each
+    value's dense rank, found by one unstable argsort: the ranks keep the
+    values' order and ties, and span fewer than ``n`` values.
     """
     values = np.asarray(values)
     n = len(values)
@@ -172,7 +204,7 @@ def stable_order(values: np.ndarray) -> np.ndarray:
     low = int(values.min())
     index_bits = (n - 1).bit_length()
     if (int(values.max()) - low).bit_length() + index_bits > 64:
-        return np.argsort(values, kind="stable")
+        values, low = _dense_ranks(values), 0
     packed = values.astype(np.uint64)
     packed -= np.uint64(low % (1 << 64))    # modulo 2^64, exact since the span fits
     packed <<= np.uint64(index_bits)
@@ -180,6 +212,24 @@ def stable_order(values: np.ndarray) -> np.ndarray:
     packed.sort()
     packed &= np.uint64((1 << index_bits) - 1)
     return packed.view(np.intp)
+
+
+def _dense_ranks(values: np.ndarray) -> np.ndarray:
+    """Each value's rank among the distinct values, from 0, as uint64."""
+    order = np.argsort(values)
+    ordered = values[order]
+    steps = np.zeros(len(values), dtype=np.uint64)
+    np.cumsum(ordered[1:] != ordered[:-1], out=steps[1:])
+    ranks = np.empty_like(steps)
+    ranks[order] = steps
+    return ranks
+
+
+def run_starts(ordered: np.ndarray) -> np.ndarray:
+    """Where each run of equal values in a sorted array begins."""
+    new = np.ones(len(ordered), dtype=bool)
+    new[1:] = ordered[1:] != ordered[:-1]
+    return np.flatnonzero(new)
 
 
 def time_order(ts: np.ndarray, rows_at) -> np.ndarray:

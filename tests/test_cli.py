@@ -98,6 +98,18 @@ def test_od_pair_mode_runs(workspace):
                    "run", "--detector", "loss", "-k", 10, "--od-pairs") == 0
 
 
+@pytest.mark.parametrize("command", [["run"], ["sweep", "--budgets-kb", "40", "--seeds", "1"]])
+def test_od_pair_mode_checks_the_manifest_against_the_file(workspace, tmp_path, command):
+    # the manifest pins the file's trace, not the collapsed one
+    root, trace = workspace
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"trace_sha256": "0" * 64}))
+    for manifest, code in ((root / "synth.json", 0), (bad, 3)):
+        assert run_cli("--seed", 1, "--trace", trace, "--manifest", manifest,
+                       "--out-dir", tmp_path, command[0], "--detector", "loss",
+                       "-k", 10, "--od-pairs", *command[1:]) == code
+
+
 def test_ooo_epsilon_and_cache_flags(workspace):
     root, trace = workspace
     assert run_cli("--seed", 1, "--trace", trace, "--out-dir", root,

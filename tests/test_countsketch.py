@@ -150,7 +150,7 @@ def _log(keys) -> CandidateLog:
 
 def test_heavy_keys_empty_and_threshold_zero(rng):
     t = CountSketchTable(5, 256, run_seed=11)
-    assert t.signed_magnitudes([]) == []
+    assert t.signed_magnitudes([], 10) == []
     assert controller_topk(t, CandidateLog(), 10).entries == []
     keys = random_keys(rng, 10)
     for i, k in enumerate(keys):
@@ -171,7 +171,7 @@ def test_heavy_keys_recovers_planted_heavy(rng):
         t.update(planted, 10_000)
         for k in light:
             t.update(k, 10)
-        top = max(t.signed_magnitudes(keys), key=lambda kv: kv[1])
+        top = max(t.signed_magnitudes(keys, len(keys)), key=lambda kv: kv[1])
         if top[0] == planted and top[1] >= 5_000:
             hits += 1
     assert hits >= 18
@@ -334,7 +334,7 @@ def test_snapshot_round_trip_keeps_estimates(updates, shape):
     assert back.total_l1 == t.total_l1
     folds = np.array([fold64(k) for k in KEY_POOL], dtype=np.uint64)
     assert (back.estimate_batch(folds) == t.estimate_batch(folds)).all()
-    assert back.signed_magnitudes(KEY_POOL) == t.signed_magnitudes(KEY_POOL)
+    assert back.signed_magnitudes(KEY_POOL, 20) == t.signed_magnitudes(KEY_POOL, 20)
 
 
 # equal-width keys over a three-byte alphabet: many share a prefix, and
@@ -344,12 +344,12 @@ tie_keys_st = st.lists(st.binary(min_size=4, max_size=4).map(
 
 
 @given(tie_keys_st, st.lists(st.integers(-5, 5), min_size=40, max_size=40),
-       st.integers(1, 3), st.integers(1, 4), st.integers(0, 2**16))
-def test_signed_magnitudes_matches_sorted_reference(keys, deltas, rows, buckets, seed):
+       st.integers(1, 3), st.integers(1, 4), st.integers(0, 2**16), st.integers(0, 45))
+def test_signed_magnitudes_matches_sorted_reference(keys, deltas, rows, buckets, seed, k):
     # a 1-4 bucket table puts most keys in shared cells, so values tie often
     t = CountSketchTable(rows, buckets, run_seed=seed)
     for key, delta in zip(keys, deltas):
         t.update(key, delta)
     reference = sorted(((key, float(abs(t.estimate(key)))) for key in keys),
                        key=lambda item: (-item[1], item[0]))
-    assert t.signed_magnitudes(keys) == reference
+    assert t.signed_magnitudes(keys, k) == reference[:k]

@@ -95,6 +95,14 @@ def test_run_experiment_rejects_wrong_manifest(latency_setup):
         run_experiment(trace, bad, DetectorConfig("latency", k=10))
 
 
+def test_kept_digest_still_rejects_wrong_manifest(latency_setup):
+    trace, manifest = latency_setup
+    run_experiment(trace, manifest, DetectorConfig("latency", k=10))
+    bad = dict(manifest, trace_sha256="0" * 64)
+    with pytest.raises(DataError):
+        run_experiment(trace, bad, DetectorConfig("latency", k=10))
+
+
 def test_unknown_detector_rejected(latency_setup):
     trace, manifest = latency_setup
     cfg = DetectorConfig("sonar")
@@ -159,9 +167,10 @@ def test_sweep_rejects_wrong_manifest(latency_setup):
 
 def test_sweep_hashes_the_trace_once(latency_setup, monkeypatch):
     trace, manifest = latency_setup
+    trace = Trace(trace.arr)        # the injector's own trace already holds its digest
     calls = []
-    sha256 = Trace.sha256
-    monkeypatch.setattr(Trace, "sha256", lambda self: calls.append(1) or sha256(self))
+    digest = Trace._digest
+    monkeypatch.setattr(Trace, "_digest", lambda self: calls.append(1) or digest(self))
     results = sweep_memory(trace, manifest, DetectorConfig("latency", k=10),
                            budgets_kb=(40, 80), seeds=2)
     assert len(results) == 4
@@ -180,7 +189,8 @@ def test_determinism_of_semantic_fields(latency_setup):
 
 def _reference_candidates(trace, cfg):
     """The gate loop with an exact set of decided folds in front of a
-    per-key maybe_report; returns the log entries and the decided count."""
+    per-key maybe_report, each chunk prepared on its own; returns the log
+    entries and the decided count."""
     if cfg.kind == "latency":
         det = LatencyDetector(buckets=cfg.buckets, rows=cfg.rows, run_seed=cfg.seed,
                               type_filter=TypeFilter.named(cfg.type_filter),
@@ -193,9 +203,10 @@ def _reference_candidates(trace, cfg):
     decided = set()
     for lo in range(0, len(trace), reporter.CHUNK):
         sub = trace.select(slice(lo, lo + reporter.CHUNK))
-        admitted, keys, folds = det.observe_batch(sub)
-        rows = np.flatnonzero(np.isin(sub.ptype[admitted], codes))
-        hot, first = np.unique(folds[rows], return_index=True)
+        fed = det.observe_batch(sub)
+        det.table.update_batch(fed.folds, fed.deltas)
+        rows = np.flatnonzero(np.isin(sub.ptype[fed.rows], codes))
+        hot, first = np.unique(fed.folds[rows], return_index=True)
         if len(hot) == 0:
             continue
         estimates = np.abs(det.table.estimate_batch(hot))
@@ -203,18 +214,22 @@ def _reference_candidates(trace, cfg):
         for fold, row, est in zip(hot.tolist(), rows[first].tolist(), estimates.tolist()):
             if est >= threshold and fold not in decided:
                 decided.add(fold)
-                maybe_report(gate, log, keys[row].tobytes(), est, threshold,
+                maybe_report(gate, log, fed.keys[row].tobytes(), est, threshold,
                              int(sub.ts[-1]))
     return log.entries, len(decided)
 
 
-@pytest.mark.parametrize("kind", ["latency", "loss"])
-def test_gate_loop_matches_decided_set_reference(latency_setup, kind, monkeypatch):
+# under the syn filter the last 512-record chunk holds no admitted record
+@pytest.mark.parametrize("kind,type_filter", [
+    pytest.param("latency", "data", id="latency"), pytest.param("loss", "data", id="loss"),
+    pytest.param("latency", "syn", id="latency-syn")])
+def test_gate_loop_matches_decided_set_reference(latency_setup, kind, type_filter,
+                                                 monkeypatch):
     # a 256-bit gate saturates, so Bloom suppressions are part of the log
     monkeypatch.setattr(reporter, "GATE_BITS", 1 << 8)
     monkeypatch.setattr(reporter, "CHUNK", 512)
     trace, manifest = latency_setup
-    cfg = DetectorConfig(kind, budget_bytes=4_000, seed=3, k=30, type_filter="data",
+    cfg = DetectorConfig(kind, budget_bytes=4_000, seed=3, k=30, type_filter=type_filter,
                          report_epsilon=1e-4)
     entries, decided = _reference_candidates(trace, cfg)
     art = run_experiment(trace, manifest, cfg)

@@ -63,8 +63,8 @@ def test_direction_antisymmetry():
     swapped["ptype"][synack] = int(PacketType.SYN)
     d1 = LatencyDetector(buckets=256, rows=5, run_seed=6)
     d2 = LatencyDetector(buckets=256, rows=5, run_seed=6)
-    d1.observe_batch(fwd)
-    d2.observe_batch(Trace(swapped))
+    d1.run(fwd, 1)
+    d2.run(Trace(swapped), 1)
     for i in range(50):
         key = canonicalize(make_key(i)).to_bytes()
         assert abs(d1.estimate(key)) == abs(d2.estimate(key))
@@ -104,7 +104,7 @@ def test_batch_matches_scalar(small_trace):
                          type_filter=TypeFilter.all_pairs())
     for p in small_trace.records():
         d1.observe(p)
-    d2.observe_batch(small_trace)
+    d2.run(small_trace, 1)
     assert (d1.table.counters == d2.table.counters).all()
     assert d1.table.total_l1 == d2.table.total_l1
 

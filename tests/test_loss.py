@@ -25,7 +25,7 @@ def single_flow_trace(seqs) -> Trace:
 
 def single_flow_estimate(seqs, seed=0, buckets=256):
     det = LossDetector(buckets=buckets, rows=5, run_seed=seed)
-    det.observe_batch(single_flow_trace(seqs))
+    det.run(single_flow_trace(seqs), 1)
     return det.estimate(make_key(0))
 
 
@@ -127,6 +127,6 @@ def test_batch_matches_scalar(small_trace):
     d2 = LossDetector(buckets=128, rows=5, run_seed=5)
     for p in small_trace.records():
         d1.observe(p)
-    d2.observe_batch(small_trace)
+    d2.run(small_trace, 1)
     assert (d1.table.counters == d2.table.counters).all()
     assert d1.skipped == d2.skipped

@@ -211,3 +211,25 @@ def test_sha256_is_digest_of_file_bytes(tmp_path, small_trace):
         path = tmp_path / "t.lmt"
         write_trace(trace, path)
         assert trace.sha256() == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_trace_records_are_read_only(small_trace):
+    views = (small_trace, small_trace.select(slice(1, 5)), small_trace.select([0, 2]))
+    for trace in views:
+        with pytest.raises(ValueError):
+            trace.ts[0] = 1
+        with pytest.raises(ValueError):
+            trace.arr["seq"] = 0
+    assert small_trace.to_od_pairs().sport.tolist() == [0] * len(small_trace)
+
+
+def test_sha256_is_kept_only_while_no_writable_array_reaches_the_records(small_trace):
+    arr = small_trace.arr.copy()
+    trace = Trace(arr[:])              # arr itself stays writable
+    before = trace.sha256()
+    arr["size"] += 1
+    assert trace.sha256() != before
+    assert trace.sha256() == Trace(arr.copy()).sha256()
+    sealed = Trace(arr.copy())
+    assert sealed.sha256() == sealed.sha256() == trace.sha256()
+    assert sealed._sha256 is not None and trace._sha256 is None

@@ -48,15 +48,19 @@ def test_recording_wraps_and_restores_benchmark_names():
             assert cls.__dict__[attr] is not orig, (cls.__name__, attr)
         for (module, name), orig in functions.items():
             assert getattr(module, name) is not orig, name
-        harness.run_experiment(trace, manifest, harness.DetectorConfig("loss", k=10))
+        for kind in ("loss", "latency"):
+            harness.run_experiment(trace, manifest, harness.DetectorConfig(kind, k=10))
     for (cls, attr), orig in methods.items():
         assert cls.__dict__[attr] is orig, (cls.__name__, attr)
     for (module, name), orig in functions.items():
         assert getattr(module, name) is orig, name
-    for span in ("harness.run", "oracle", "loss.observe_batch", "loss.topk",
+    for span in ("harness.run", "oracle", "loss.topk", "latency.topk",
                  "hashing.bucket_batch", "countsketch.update_batch"):
         assert tracer.of("t", span), span
-    assert len(tracer.found("t", "CandidateLog")) == 1
+    # a gated run prepares its whole trace's sketch input once
+    for span in ("loss.observe_batch", "latency.observe_batch"):
+        assert len(tracer.of("t", span)) == 1, span
+    assert len(tracer.found("t", "CandidateLog")) == 2
 
 
 def test_traced_retransmit_run_counts_admissions_and_id_batches():
