@@ -5,11 +5,16 @@ records ground truth in a manifest next to the modified trace. Victims
 are drawn from the heaviest flows by data-packet count, ranked from one
 ``flow_groups`` pass; the pool size and draw count are plan parameters.
 Injected latency is drawn once per flow, so a victim's delay is constant
-across its packets. An injector that moves or adds records builds only
-the new timestamp column (and the index of the rows it copies), orders
-it with ``traceio.time_order``, the order ``Trace.time_sorted`` uses,
-and gathers its output from its input with one ``np.take``: no whole
-copy of the input is made besides the output. The reorder injector reads
+across its packets. Victim selection makes no whole-trace key-byte copy
+or float draw: the ranking and the victim index gather only the key
+bytes of the rows they group or match, and the sampling draws its
+uniforms ``DRAW_BLOCK`` records at a time. An injector that moves or
+adds records builds only the new timestamp column (and the index of the
+rows it copies), orders it with ``traceio.time_order``, the order
+``Trace.time_sorted`` uses, and gathers its output from its input with
+one ``np.take`` (``_placement``, then ``_gathered``): no whole copy of
+the input is made besides the output, and the victim index and the new
+timestamp column are dropped before the gather. The reorder injector reads
 each victim's true out-of-order weight from ``oracle_ooo`` run on the
 victims' rows alone: the oracle is per flow, and those rows, time-sorted
 on their own, keep their order in the output trace.
@@ -27,6 +32,7 @@ from .traceio import KEY_VOID, Trace, time_order
 
 REORDER_DELAY_NS = 5_000_000
 DUPLICATE_JITTER_NS = 1_000_000
+DRAW_BLOCK = 1 << 16     # records per uniform draw of the victim sampling
 
 
 @dataclass(frozen=True)
@@ -83,15 +89,14 @@ def select_victims(trace: Trace, plan: InjectionPlan) -> list[bytes]:
 def _victim_index(trace: Trace, victims: list[bytes]) -> np.ndarray:
     """Per-record victim index, -1 where the record's key is not a victim.
 
-    A table lookup on the first two key bytes narrows the records to
-    candidates, and only those are matched on all 13 bytes.
+    A table lookup on the first two key bytes (the low half of the
+    little-endian ``src``) narrows the records to candidates, and only the
+    candidates' key bytes are gathered and matched on all 13 bytes.
     """
-    keys = trace.key_matrix()
     victim_keys = np.frombuffer(b"".join(victims), dtype=np.uint8).reshape(-1, KEY_BYTES)
-    prefix = np.ascontiguousarray(keys[:, :2]).view(np.uint16).ravel()
     candidates = np.flatnonzero(np.isin(
-        prefix, np.ascontiguousarray(victim_keys[:, :2]).view(np.uint16), kind="table"))
-    view = keys[candidates].view(KEY_VOID).ravel()
+        trace.src.astype(np.uint16), victim_keys[:, :2].copy().view("<u2"), kind="table"))
+    view = trace.key_matrix(candidates).view(KEY_VOID).ravel()
     victim_view = victim_keys.view(KEY_VOID).ravel()
     order = np.argsort(victim_view)
     pos = np.clip(np.searchsorted(victim_view[order], view), 0, len(victims) - 1)
@@ -115,14 +120,17 @@ def _manifest(plan: InjectionPlan, trace: Trace, victims: list[bytes],
     }
 
 
-def _restamped(trace: Trace, ts: np.ndarray, moved: np.ndarray,
-               copies: "np.ndarray | None" = None) -> Trace:
-    """The input's records, then copies of its rows ``copies``, at the
-    timestamps ``ts`` (one per record, the copies last), in ``time_order``.
+def _placement(trace: Trace, ts: np.ndarray, moved: np.ndarray,
+               copies: "np.ndarray | None" = None
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Where the output's records come from, when it holds the input's
+    records, then copies of its rows ``copies``, at the timestamps ``ts``
+    (one per record, the copies last), in ``time_order``.
 
-    Only the new timestamp column is built: ``time_order`` fetches the few
-    tied records from the input, one ``np.take`` gathers the output from
-    it, and the records that ``moved`` marks get their new timestamps.
+    Returns (source, patch, stamps): each output record's input row, the
+    output positions of the records that ``moved`` marks, and their new
+    timestamps. Only the new timestamp column is built: ``time_order``
+    fetches the few tied records from the input.
     """
     a, n = trace.arr, len(trace)
 
@@ -141,7 +149,14 @@ def _restamped(trace: Trace, ts: np.ndarray, moved: np.ndarray,
     order = time_order(ts, rows_at)
     patch = np.flatnonzero(moved[order])
     stamps = ts[order[patch]]
-    out = np.take(a, to_input(order))
+    return to_input(order), patch, stamps
+
+
+def _gathered(trace: Trace, source: np.ndarray, patch: np.ndarray,
+              stamps: np.ndarray) -> Trace:
+    """The output of a ``_placement``: one ``np.take`` of the input's rows
+    ``source``, the moved records restamped."""
+    out = np.take(trace.arr, source)
     out["ts"][patch] = stamps
     return Trace(out)
 
@@ -165,30 +180,39 @@ def inject_latency(trace: Trace, plan: InjectionPlan) -> tuple[Trace, dict]:
     ts = trace.ts.copy()
     ts[shift] += delays[victim_idx[shift]].astype(np.uint64)
     shifted_counts = np.bincount(victim_idx[shift], minlength=len(victims))
-
-    out = _restamped(trace, ts, shift)
+    del victim_idx
+    placement = _placement(trace, ts, shift)
+    del ts
+    out = _gathered(trace, *placement)
     true_values = delays * shifted_counts   # added round-trip ns per victim
     return out, _manifest(plan, out, victims, delays, true_values)
 
 
 def _sample_victim_data(trace: Trace, plan: InjectionPlan):
     """Victims, each record's victim index (-1 for none), and the mask of
-    victim DATA records drawn independently at the plan's rate."""
+    victim DATA records drawn independently at the plan's rate.
+
+    The uniform draws, one per record, are made ``DRAW_BLOCK`` records at
+    a time: the same stream as one draw over the whole trace.
+    """
     plan.validate()
     victims = select_victims(trace, plan)
     rng = np.random.default_rng(plan.seed + 1)
     victim_idx = _victim_index(trace, victims)
-    sampled = (victim_idx >= 0) & (trace.ptype == int(PacketType.DATA)) \
-        & (rng.random(len(trace)) < plan.magnitude)
+    sampled = (victim_idx >= 0) & (trace.ptype == int(PacketType.DATA))
+    for lo in range(0, len(trace), DRAW_BLOCK):
+        block = sampled[lo:lo + DRAW_BLOCK]
+        block &= rng.random(len(block)) < plan.magnitude
     return victims, victim_idx, sampled
 
 
 def inject_loss(trace: Trace, plan: InjectionPlan) -> tuple[Trace, dict]:
     """Drop each victim DATA packet independently at the plan's rate."""
     victims, victim_idx, drop = _sample_victim_data(trace, plan)
+    dropped = np.bincount(victim_idx[drop], minlength=len(victims))
+    del victim_idx
     out = trace.select(~drop)
-    return out, _manifest(plan, out, victims, [plan.magnitude] * len(victims),
-                          np.bincount(victim_idx[drop], minlength=len(victims)))
+    return out, _manifest(plan, out, victims, [plan.magnitude] * len(victims), dropped)
 
 
 def inject_reorder(trace: Trace, plan: InjectionPlan,
@@ -199,7 +223,10 @@ def inject_reorder(trace: Trace, plan: InjectionPlan,
     ts = trace.ts.copy()
     ts[sampled] += np.uint64(delay_ns)
     weights = _victim_ooo(trace, ts, victim_idx >= 0, window_ns)
-    out = _restamped(trace, ts, sampled)
+    del victim_idx
+    placement = _placement(trace, ts, sampled)
+    del ts
+    out = _gathered(trace, *placement)
     return out, _manifest(plan, out, victims, [plan.magnitude] * len(victims),
                           [weights.get(v, 0) for v in victims])
 
@@ -217,13 +244,16 @@ def inject_duplicate(trace: Trace, plan: InjectionPlan,
                      jitter_ns: int = DUPLICATE_JITTER_NS) -> tuple[Trace, dict]:
     """Append a jittered copy of sampled victim DATA packets."""
     victims, victim_idx, sampled = _sample_victim_data(trace, plan)
+    copied = np.bincount(victim_idx[sampled], minlength=len(victims))
+    del victim_idx
     copies = np.flatnonzero(sampled)
     ts = np.concatenate([trace.ts, trace.ts[copies] + np.uint64(jitter_ns)])
     moved = np.zeros(len(ts), dtype=bool)
     moved[len(trace):] = True
-    out = _restamped(trace, ts, moved, copies)
-    return out, _manifest(plan, out, victims, [plan.magnitude] * len(victims),
-                          np.bincount(victim_idx[sampled], minlength=len(victims)))
+    placement = _placement(trace, ts, moved, copies)
+    del ts
+    out = _gathered(trace, *placement)
+    return out, _manifest(plan, out, victims, [plan.magnitude] * len(victims), copied)
 
 
 INJECTORS = {"latency": inject_latency, "loss": inject_loss,

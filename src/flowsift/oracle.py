@@ -55,10 +55,11 @@ def flow_groups(trace: Trace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     Returns (order, starts, keys): ``order`` holds the trace's DATA row
     indices flow by flow, flow g's rows are ``order[starts[g]:starts[g+1]]``,
     and ``keys`` are the flows' void-13 keys in ascending byte order. The
-    grouping is ``_groups``' radix sort of the DATA rows' key bytes.
+    grouping is ``_groups``' radix sort of the DATA rows' key bytes, which
+    are the only key bytes gathered.
     """
     data = np.flatnonzero(trace.ptype == int(PacketType.DATA))
-    order, starts, keys = _groups(trace.key_matrix()[data])
+    order, starts, keys = _groups(trace.key_matrix(data))
     return data[order], starts, keys
 
 

@@ -149,10 +149,14 @@ class Trace:
 
     # -- key material for hashing -------------------------------------------
 
-    def key_matrix(self) -> np.ndarray:
+    def key_matrix(self, rows: "np.ndarray | None" = None) -> np.ndarray:
         """(n, 13) uint8 matrix of directed flow-key bytes: the first 13
-        bytes of each packed record."""
-        return self._record_bytes()[:, :KEY_BYTES].copy()
+        bytes of each packed record, or of the records at the row indexes
+        ``rows`` only, gathered straight from the packed records."""
+        record = self._record_bytes()
+        if rows is None:
+            return record[:, :KEY_BYTES].copy()
+        return record[rows, :KEY_BYTES]
 
     def canonical_matrix(self) -> tuple[np.ndarray, np.ndarray]:
         """(n, 26) uint8 canonical-pair bytes plus the forward-direction mask.
