@@ -30,7 +30,7 @@ _SNAPSHOT_MAGIC = b"LMCS"
 _SNAPSHOT_VERSION = 1
 _SNAPSHOT_FAMILY = 0    # header byte 5: the multiply-shift hash family, the only one
 
-# Checked mode aborts before a counter can reach this magnitude.
+# update_batch raises once a counter reaches this magnitude, before int64 wraps.
 _OVERFLOW_LIMIT = 1 << 62
 
 
@@ -43,13 +43,11 @@ class CountSketchTable:
 
     def __init__(self, rows: int, buckets: int, *, run_seed: int = 0,
                  row_hashes: "list[HashPair] | None" = None,
-                 sign_hashes: "list[HashPair] | None" = None,
-                 checked: bool = False):
+                 sign_hashes: "list[HashPair] | None" = None):
         if rows < 1 or buckets < 1:
             raise ValueError("rows and buckets must be >= 1")
         self.rows = rows
         self.buckets = buckets
-        self.checked = checked
         self.counters = np.zeros((rows, buckets), dtype=np.int64)
         self.total_l1 = 0
         if row_hashes is None:
@@ -83,12 +81,13 @@ class CountSketchTable:
         self.update_batch(hashing.fold64_keys([key]), np.array([delta], dtype=np.int64))
 
     def update_batch(self, folds: np.ndarray, deltas: np.ndarray) -> None:
-        """Apply many updates at once; folds are prefolded 64-bit keys."""
+        """Apply many updates at once; folds are prefolded 64-bit keys.
+        Raises OverflowError once a counter reaches 2^62 in magnitude."""
         deltas = np.asarray(deltas, dtype=np.int64)
         idx, signs = self._cells(folds)
         # reshape of the C-order counters is a view; 1-D indices take add.at's fast path
         np.add.at(self.counters.reshape(-1), idx.ravel(), (signs * deltas).ravel())
-        if self.checked and np.abs(self.counters).max(initial=0) >= _OVERFLOW_LIMIT:
+        if np.abs(self.counters).max(initial=0) >= _OVERFLOW_LIMIT:
             j, b = np.unravel_index(int(np.abs(self.counters).argmax()), self.counters.shape)
             raise OverflowError(f"counter overflow at row {j} bucket {b}")
         self.total_l1 += int(np.abs(deltas).sum())

@@ -68,15 +68,14 @@ class LatencyDetector(GatedSketchDetector):
     def estimate(self, key: "FlowKey | CanonicalPair | bytes") -> int:
         return self.table.estimate(_pair_bytes(key))
 
-    def topk(self, candidates, k: int) -> HeavyReport:
-        """The k candidates of largest magnitude.
+    def topk(self, candidates: list[bytes], k: int) -> HeavyReport:
+        """The k candidate pair bytes of largest magnitude.
 
         Ranked by the magnitude of the signed-median estimate: collider
         mass entering a flow's buckets carries incoherent signs and
         cancels there, where a median over row magnitudes would keep it.
         """
-        return HeavyReport(self.table.signed_magnitudes(
-            [_pair_bytes(c) for c in candidates], k))
+        return HeavyReport(self.table.signed_magnitudes(candidates, k))
 
 
 def _pair_bytes(key) -> bytes:

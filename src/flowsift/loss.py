@@ -63,14 +63,13 @@ class LossDetector(GatedSketchDetector):
     def estimate(self, key: "FlowKey | bytes") -> int:
         return self.table.estimate(_key_bytes(key))
 
-    def topk(self, candidates, k: int) -> HeavyReport:
-        """The k candidates of largest walk magnitude.
+    def topk(self, candidates: list[bytes], k: int) -> HeavyReport:
+        """The k candidate key bytes of largest walk magnitude.
 
         Magnitude means |signed-median estimate|: collider walks carry
         incoherent signs across rows and cancel in the signed median.
         """
-        return HeavyReport(self.table.signed_magnitudes(
-            [_key_bytes(c) for c in candidates], k))
+        return HeavyReport(self.table.signed_magnitudes(candidates, k))
 
 
 def loss_count_estimate(walk_magnitude: float) -> int:

@@ -10,11 +10,11 @@ report and therefore lose that key; they never duplicate.
 The Bloom gate takes a batch of prefolded keys (``insert_folds``); the
 per-key ``insert``, ``in`` and ``maybe_report`` are batches of one.
 
-``GatedSketchDetector``, the latency and loss detectors' base, is a
-sketch plus the gate, streamed in chunks: the whole trace's sketch input
-is prepared once, sketch updates are exact, and the gate, the only
-dedup, is fed once per chunk the flows that carried a triggering packet
-in it.
+``SketchDetector`` is the latency, loss and retransmission detectors' one
+chunk stream: the trace's sketch input is prepared once, and each chunk
+updates the sketch exactly and estimates once each flow that triggered
+in it. ``GatedSketchDetector``, the latency and loss detectors' base,
+adds the gate, the only dedup, fed once per chunk the flows that crossed.
 """
 
 from __future__ import annotations
@@ -171,37 +171,65 @@ def controller_topk(snapshot: "bytes | CountSketchTable", log: CandidateLog,
 
 
 class SketchInput(NamedTuple):
-    """What a trace feeds a gated sketch: one entry per admitted record."""
+    """What a trace feeds a sketch detector: one entry per admitted record."""
 
     rows: np.ndarray        # the admitted records' row indices, ascending
     keys: np.ndarray        # (len(rows), w) uint8 key bytes
     folds: np.ndarray       # the keys' 64-bit folds
     deltas: np.ndarray      # int64 sketch updates
-    trigger: np.ndarray     # True where the record may mirror its flow
+    trigger: np.ndarray     # True where the record may act on its flow
 
 
 @dataclass
-class GatedSketchDetector:
-    """A count-sketch detector and its mirroring gate: one fixed-memory unit.
-
-    Subclasses define ``observe_batch(trace) -> SketchInput``, which counts
-    the records it skips and leaves the sketch alone, ``topk(candidates,
-    k)`` and ``oracle``. A flow is mirrored into ``candidates`` the first
-    time a chunk holding one of its trigger records ends with its
-    |estimate| at or above ``report_epsilon`` times half the running
-    total: the only threshold; ``topk`` ranks the mirrored keys.
-    """
+class SketchDetector:
+    """A count-sketch table fed chunk by chunk: subclasses define
+    ``observe_batch(trace) -> SketchInput``, which counts the records it
+    skips and leaves the sketch alone, and cut its entries into chunks."""
 
     buckets: int = 2000
     rows: int = 5
     run_seed: int = 0
-    report_epsilon: float = 0.0
 
     def __post_init__(self) -> None:
         self.table = CountSketchTable(self.rows, self.buckets, run_seed=self.run_seed)
+        self.skipped = 0
+
+    def chunks(self, fed: SketchInput, cuts: list[int]):
+        """Per chunk of entries between consecutive cuts, apply its updates and
+        yield (chunk index, its trigger entries grouped by fold in entry
+        order, where each group starts, each group's signed estimate)."""
+        triggers = np.flatnonzero(fed.trigger)
+        trigger_cuts = np.searchsorted(triggers, cuts).tolist()
+        for i, (lo, hi) in enumerate(zip(cuts, cuts[1:])):
+            self.table.update_batch(fed.folds[lo:hi], fed.deltas[lo:hi])
+            entries = triggers[trigger_cuts[i]:trigger_cuts[i + 1]]
+            folds = fed.folds[entries]
+            order = stable_order(folds)
+            ordered = folds[order]
+            starts = run_starts(ordered)
+            yield i, entries[order], starts, self.table.estimate_batch(ordered[starts])
+
+    def memory_bytes(self) -> int:
+        return self.rows * self.buckets * 4      # emulated 32-bit counters
+
+
+@dataclass
+class GatedSketchDetector(SketchDetector):
+    """A count-sketch detector and its mirroring gate: one fixed-memory unit.
+
+    Subclasses also define ``topk(candidates, k)`` over key bytes and
+    ``oracle``. A flow is mirrored into ``candidates`` the first time a
+    chunk of ``CHUNK`` trace records holding one of its trigger records
+    ends with its |estimate| at or above ``report_epsilon`` times half the
+    running total: the only threshold; ``topk`` ranks the mirrored keys.
+    """
+
+    report_epsilon: float = 0.0
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
         self.gate = BloomGate(GATE_BITS, run_seed=self.run_seed)
         self.candidates = CandidateLog(seed_signature=self.table.seed_signature())
-        self.skipped = 0
 
     @classmethod
     def from_config(cls, cfg) -> "GatedSketchDetector":
@@ -219,25 +247,16 @@ class GatedSketchDetector:
         through the sketch and the gate, then rank the mirrored keys."""
         fed = self.observe_batch(trace)
         starts = range(0, len(trace), CHUNK)
-        triggers = np.flatnonzero(fed.trigger)
-        cuts = np.searchsorted(fed.rows, [*starts, len(trace)])    # each chunk's entries
-        trigger_cuts = np.searchsorted(triggers, cuts).tolist()
-        cuts = cuts.tolist()
+        cuts = np.searchsorted(fed.rows, [*starts, len(trace)]).tolist()
         stamps, width = trace.ts, fed.keys.shape[1]
-        for i, lo in enumerate(starts):
-            self.table.update_batch(fed.folds[cuts[i]:cuts[i + 1]],
-                                    fed.deltas[cuts[i]:cuts[i + 1]])
-            rows = triggers[trigger_cuts[i]:trigger_cuts[i + 1]]
-            folds = fed.folds[rows]
-            order = stable_order(folds)
-            first = order[run_starts(folds[order])]     # each flow's first trigger row
-            hot = folds[first]
-            estimates = np.abs(self.table.estimate_batch(hot))
+        for i, entries, groups, signed in self.chunks(fed, cuts):
+            first = entries[groups]                     # each flow's first trigger entry
+            estimates = np.abs(signed)
             threshold = self.report_epsilon * self.table.total_l1 / 2.0
             crossing = np.flatnonzero(estimates >= threshold)
-            now = int(stamps[min(lo + CHUNK, len(trace)) - 1])
-            new = crossing[self.gate.insert_folds(hot[crossing])]
-            blob = fed.keys[rows[first[new]]].tobytes()
+            now = int(stamps[min(starts[i] + CHUNK, len(trace)) - 1])
+            new = crossing[self.gate.insert_folds(fed.folds[first[crossing]])]
+            blob = fed.keys[first[new]].tobytes()
             self.candidates.entries.extend(
                 (blob[j * width:(j + 1) * width], now, value)
                 for j, value in enumerate(estimates[new].astype(float).tolist()))
@@ -249,4 +268,4 @@ class GatedSketchDetector:
 
     def memory_bytes(self) -> int:
         """Emulated 32-bit counters plus the gate's bits."""
-        return self.rows * self.buckets * 4 + self.gate.memory_bytes()
+        return super().memory_bytes() + self.gate.memory_bytes()

@@ -1,14 +1,16 @@
 """Detector for elephant flows with a high average retransmission rate.
 
 A packet-count sketch keeps a running elephant list: a flow enters
-tracking when its estimated count reaches (eps/2) of the packets seen
-so far, and leaves (state discarded) when the estimate sinks below
-eps/4 of the total -- the hysteresis stops boundary thrash. Each
-tracked flow carries its post-tracking packet count and an approximate
-distinct count of the ids it sent; the reported retransmission ratio is
-their quotient, and flows at or above k/4 make the report. The k/4
-slack absorbs both the missed pre-tracking half of the stream and the
-factor-2 tolerance of the distinct estimator.
+tracking when its estimated count reaches (eps/2) of the packets seen so
+far, and leaves (state discarded) when the estimate sinks below eps/4 of
+the total -- the hysteresis stops boundary thrash. The sketch is
+``reporter.SketchDetector``'s chunk stream, cut every ``chunk`` DATA
+records; admission, the sweep and the ids added are decided per chunk.
+Each tracked flow carries its post-tracking packet count and an
+approximate distinct count of the ids it sent; the reported
+retransmission ratio is their quotient, and flows at or above k/4 make
+the report. The k/4 slack absorbs both the missed pre-tracking half of
+the stream and the factor-2 tolerance of the distinct estimator.
 """
 
 from __future__ import annotations
@@ -19,11 +21,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hashing
-from .countsketch import CountSketchTable
 from .oracle import rtx_counts
 from .packets import KEY_BYTES, PacketType
+from .reporter import SketchDetector, SketchInput
 from .reports import HeavyReport, ranked
-from .traceio import Trace, check_time_order, run_starts, stable_order
+from .traceio import Trace, check_time_order
 
 
 def _bit_length(values: np.ndarray) -> np.ndarray:
@@ -140,12 +142,9 @@ class TrackedFlow:
 
 
 @dataclass
-class RetransmitDetector:
+class RetransmitDetector(SketchDetector):
     """Elephant tracking plus per-flow retransmission ratios."""
 
-    buckets: int = 2000
-    rows: int = 5
-    run_seed: int = 0
     epsilon: float = 0.001
     registers: int = 256
     instances: int = 3
@@ -153,11 +152,9 @@ class RetransmitDetector:
     k_threshold: float = 1.05       # run() reports ratios at or above k/4
 
     def __post_init__(self) -> None:
-        self.sketch = CountSketchTable(self.rows, self.buckets, run_seed=self.run_seed)
+        super().__post_init__()
         self.tracked: dict[bytes, TrackedFlow] = {}
-        self.total = 0
         self.capacity = int(2.0 / self.epsilon) + self.capacity_slack
-        self.skipped = 0
         self._last_ts = 0     # latest DATA timestamp seen
 
     @classmethod
@@ -178,10 +175,10 @@ class RetransmitDetector:
         """(sketch estimate, key) of every tracked flow, in one batch."""
         folds = np.fromiter((flow.fold for flow in self.tracked.values()),
                             dtype=np.uint64, count=len(self.tracked))
-        return list(zip(self.sketch.estimate_batch(folds).tolist(), self.tracked))
+        return list(zip(self.table.estimate_batch(folds).tolist(), self.tracked))
 
     def _admit(self, key: bytes, estimate: int, ts: int) -> None:
-        if estimate < self.epsilon / 2.0 * self.total or key in self.tracked:
+        if estimate < self.epsilon / 2.0 * self.table.total_l1 or key in self.tracked:
             return
         if len(self.tracked) >= self.capacity:
             del self.tracked[min(self._tracked_estimates())[1]]
@@ -191,7 +188,7 @@ class RetransmitDetector:
     def _sweep(self) -> np.ndarray:
         """Drop every tracked flow the sketch has stopped reporting; return
         the folds of the flows still tracked, sorted."""
-        drop_thr = self.epsilon / 4.0 * self.total
+        drop_thr = self.epsilon / 4.0 * self.table.total_l1
         for estimate, key in self._tracked_estimates():
             if estimate < drop_thr:
                 del self.tracked[key]
@@ -202,10 +199,23 @@ class RetransmitDetector:
         """One packet, as a trace of one."""
         self.observe_trace(Trace.from_records([packet]), chunk=1)
 
+    def observe_batch(self, trace: Trace) -> SketchInput:
+        """The trace's sketch input: every DATA record's key, fold and count
+        of one, each a trigger. Checks the DATA time order (see ``observe_trace``)
+        before it books the skipped records and the latest DATA timestamp."""
+        rows = np.flatnonzero(trace.ptype == int(PacketType.DATA))
+        stamps = trace.ts[rows]
+        check_time_order(stamps, self._last_ts, "retransmission detection")
+        self.skipped += len(trace) - len(rows)
+        self._last_ts = int(stamps.max(initial=self._last_ts))
+        keys = trace.key_matrix(rows)
+        return SketchInput(rows, keys, hashing.fold64_matrix(keys),
+                           np.ones(len(rows), dtype=np.int64), np.ones(len(rows), dtype=bool))
+
     def observe_trace(self, trace: Trace, chunk: int = 4096) -> None:
         """Chunked streaming over a time-sorted trace: sketch updates are
         exact; tracking admission and discontinuation are evaluated at
-        chunk boundaries.
+        chunk boundaries, every ``chunk`` DATA records.
 
         Each chunk updates the sketch, estimates its flows, sweeps the
         tracked flows the sketch stopped reporting, admits flows at or
@@ -213,44 +223,29 @@ class RetransmitDetector:
         tracked flows. Raises ValueError when a DATA timestamp is earlier
         than the one before it, in this trace or an earlier one.
         """
-        data = trace.select(trace.ptype == int(PacketType.DATA))
-        check_time_order(data.ts, self._last_ts, "retransmission detection")
-        self.skipped += len(trace) - len(data)
-        if len(data) == 0:
-            return
-        self._last_ts = int(data.ts[-1])
-        keys = data.key_matrix()
-        folds = hashing.fold64_matrix(keys)
-        key_blob = keys.tobytes()
-        seqs = data.seq.astype(np.uint64)
-        stamps = data.ts
-        for lo in range(0, len(data), chunk):
-            hi = min(lo + chunk, len(data))
-            chunk_folds = folds[lo:hi]
-            self.sketch.update_batch(chunk_folds, np.ones(hi - lo, dtype=np.int64))
-            self.total += hi - lo
-            order = stable_order(chunk_folds)
-            ordered = chunk_folds[order]
-            starts = run_starts(ordered)
-            uniq = ordered[starts]
-            estimates = self.sketch.estimate_batch(uniq)
-            admit_thr = self.epsilon / 2.0 * self.total
+        fed = self.observe_batch(trace)
+        n = len(fed.rows)
+        key_blob = fed.keys.tobytes()
+        seqs = trace.seq[fed.rows].astype(np.uint64)
+        for _, entries, starts, estimates in self.chunks(fed, [*range(0, n, chunk), n]):
+            uniq = fed.folds[entries[starts]]
+            admit_thr = self.epsilon / 2.0 * self.table.total_l1
             tracked_folds = self._sweep()
             # a flow neither tracked nor at the admission threshold finds no
             # entry and is not admitted: only the others are visited
             at = np.minimum(np.searchsorted(tracked_folds, uniq), len(tracked_folds) - 1)
             in_tracked = tracked_folds[at] == uniq if len(tracked_folds) else False
             visit = ((estimates >= admit_thr) | in_tracked).nonzero()[0]
-            bounds = starts.tolist() + [hi - lo]
-            firsts = order[starts].tolist()         # each flow's first row in the chunk
+            bounds = starts.tolist() + [len(entries)]
+            firsts = entries[starts].tolist()       # each flow's first entry in the chunk
             ests = estimates.tolist()
-            ordered_seqs = seqs[lo:hi][order]
+            ordered_seqs = seqs[entries]
             for u in visit.tolist():
-                i = lo + firsts[u]
+                i = firsts[u]
                 key = key_blob[i * KEY_BYTES:(i + 1) * KEY_BYTES]
                 flow = self.tracked.get(key)
                 if flow is None and ests[u] >= admit_thr:
-                    self._admit(key, ests[u], int(stamps[i]))
+                    self._admit(key, ests[u], int(trace.ts[fed.rows[i]]))
                     flow = self.tracked.get(key)
                 if flow is not None:
                     flow.add_batch(ordered_seqs[bounds[u]:bounds[u + 1]])
@@ -271,6 +266,5 @@ class RetransmitDetector:
         return None, None       # no controller re-rank: the report is final
 
     def memory_bytes(self) -> int:
-        sketch = self.rows * self.buckets * 4    # emulated 32-bit counters
         per_flow = 13 + 8 + 8 + self.registers * self.instances
-        return sketch + len(self.tracked) * per_flow
+        return super().memory_bytes() + len(self.tracked) * per_flow

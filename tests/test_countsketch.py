@@ -211,14 +211,14 @@ def test_unknown_hash_family_code_is_rejected():
 
 
 def test_checked_mode_reports_row_and_bucket():
-    t = CountSketchTable(2, 4, run_seed=1, checked=True)
+    t = CountSketchTable(2, 4, run_seed=1)
     t.counters[:, :] = (1 << 62) - 2
     with pytest.raises(OverflowError, match=r"row \d+ bucket \d+"):
         t.update(b"boom", 5)
 
 
 def test_checked_overflow_updates_every_row_before_raising():
-    t = CountSketchTable(3, 4, run_seed=1, checked=True)
+    t = CountSketchTable(3, 4, run_seed=1)
     t.update(b"calm", 3)
     fold = hashing.fold64_keys([b"boom"])
     buckets = [int(bucket_of_fold(rh, int(fold[0]), 4)) for rh in t.row_hashes]

@@ -4,8 +4,11 @@ from hypothesis import given, strategies as st
 
 from flowsift import hashing
 from flowsift.countsketch import CountSketchTable
+from flowsift.latency import LatencyDetector
+from flowsift.loss import LossDetector
 from flowsift.reporter import (BloomGate, CandidateLog, ExactGate,
                                controller_topk, maybe_report)
+from flowsift.retransmit import RetransmitDetector
 
 from conftest import random_keys
 
@@ -179,3 +182,18 @@ def test_candidate_log_csv_round_trip(tmp_path):
     log.write_csv(path)
     back = CandidateLog.read_csv(path)
     assert back.entries == log.entries
+
+
+@pytest.mark.parametrize("cls", [LatencyDetector, LossDetector, RetransmitDetector])
+def test_observe_batch_feeds_the_chunk_stream_one_entry_per_admitted_record(cls,
+                                                                            small_trace):
+    # the trace mixes SYN, SYNACK, DATA and ACK records, so every detector
+    # both admits and skips some
+    det = cls(buckets=64, rows=3, run_seed=1)
+    fed = det.observe_batch(small_trace)
+    assert 0 < len(fed.rows) < len(small_trace)
+    assert det.skipped + len(fed.rows) == len(small_trace)
+    assert (np.diff(fed.rows) > 0).all()
+    assert all(len(column) == len(fed.rows) for column in fed)
+    assert (fed.folds == hashing.fold64_matrix(fed.keys)).all()
+    assert not det.table.counters.any() and det.table.total_l1 == 0

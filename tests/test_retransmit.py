@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from flowsift import hashing
-from flowsift.packets import KEY_BYTES, PacketType
+from flowsift.packets import KEY_BYTES, PacketRecord, PacketType
 from flowsift.retransmit import DistinctEstimator, RetransmitDetector, _bit_length
 from flowsift.traceio import Trace, check_time_order
 
@@ -91,7 +91,7 @@ def test_elephant_tracked_by_half_threshold():
         if tracked_at is None and key.to_bytes() in det.tracked:
             tracked_at = i + 1
     assert tracked_at is not None
-    assert tracked_at <= max(1, int(0.1 * det.total))
+    assert tracked_at <= max(1, int(0.1 * det.table.total_l1))
 
 
 def test_tracking_discontinued_when_estimate_sinks():
@@ -167,19 +167,28 @@ def test_batch_matches_scalar_semantics():
 
 
 def test_timestamps_going_back_are_rejected():
+    # every fifth record is an ACK, skipped, so a rejected trace that got
+    # as far as counting its skipped records would show in ``skipped``
     rng = np.random.default_rng(5)
-    records = [data_packet(make_key(i % 20), i // 20 + 1, i * 1000)
+    records = [data_packet(make_key(i % 20), i // 20 + 1, i * 1000) if i % 5 else
+               PacketRecord(make_key(i % 20).reversed(), PacketType.ACK, 0, 1, i * 1000, 40)
                for i in range(400)]
     trace = Trace.from_records(records)
     det = RetransmitDetector(buckets=512, rows=5, epsilon=0.1)
-    with pytest.raises(ValueError, match="time-sorted"):
-        det.observe_trace(trace.select(rng.permutation(len(trace))))
-    assert det.total == 0
+
+    def rejected(call, *args):
+        state = (det.skipped, det.table.total_l1, det.table.counters.copy())
+        with pytest.raises(ValueError, match="time-sorted"):
+            call(*args)
+        assert (det.skipped, det.table.total_l1) == state[:2]
+        assert (det.table.counters == state[2]).all()
+
+    rejected(det.observe_trace, trace.select(rng.permutation(len(trace))))
+    assert det.table.total_l1 == 0
     det.observe_trace(trace.select(np.arange(200, 400)))
-    with pytest.raises(ValueError, match="time-sorted"):
-        det.observe_trace(trace.select(np.arange(200)))
-    with pytest.raises(ValueError, match="time-sorted"):
-        det.observe(records[0])
+    assert (det.skipped, det.table.total_l1) == (40, 160)
+    rejected(det.observe_trace, trace.select(np.arange(200)))
+    rejected(det.observe, records[1])
 
 
 def _check_bit_length(values):
@@ -247,13 +256,12 @@ class VisitEveryFlow(RetransmitDetector):
         for lo in range(0, len(data), chunk):
             hi = min(lo + chunk, len(data))
             chunk_folds = folds[lo:hi]
-            self.sketch.update_batch(chunk_folds, np.ones(hi - lo, dtype=np.int64))
-            self.total += hi - lo
+            self.table.update_batch(chunk_folds, np.ones(hi - lo, dtype=np.int64))
             order = np.argsort(chunk_folds, kind="stable")
             uniq, starts = np.unique(chunk_folds[order], return_index=True)
             bounds = np.append(starts, hi - lo)
-            estimates = self.sketch.estimate_batch(uniq)
-            admit_thr = self.epsilon / 2.0 * self.total
+            estimates = self.table.estimate_batch(uniq)
+            admit_thr = self.epsilon / 2.0 * self.table.total_l1
             chunk_seqs = seqs[lo:hi]
             self._sweep()
             for u, est in enumerate(estimates.tolist()):
@@ -292,7 +300,7 @@ def test_chunk_loop_matches_visit_every_flow_reference(bursts, chunk, cut, run_s
         det.observe_trace(trace.select(part), chunk=chunk)
         ref.observe_trace(trace.select(part), chunk=chunk)
     assert list(det.tracked) == list(ref.tracked)
-    assert det.total == ref.total
+    assert det.table.total_l1 == ref.table.total_l1
     assert det.report(1.5).entries == ref.report(1.5).entries
     for key, flow in det.tracked.items():
         other = ref.tracked[key]
