@@ -24,7 +24,7 @@ from statistics import median
 
 from .latency import LatencyDetector
 from .loss import LossDetector
-from .ooo import OooDetector
+from .ooo import STAGES, OooDetector
 from .oracle import top_keys
 from .reporter import CandidateLog
 from .retransmit import RetransmitDetector
@@ -84,8 +84,9 @@ class DetectorConfig:
                              (not 0 < self.epsilon < 1, "epsilon must lie in (0, 1)"),
                              (self.k_threshold <= 1, "k threshold must be > 1"),
                              (self.cache_capacity is not None
-                              and (self.cache_capacity < 2 or self.cache_capacity % 2),
-                              "cache capacity must be even and >= 2"),
+                              and (self.cache_capacity < STAGES
+                                   or self.cache_capacity % STAGES),
+                              f"cache capacity must be a multiple of {STAGES} and >= {STAGES}"),
                              (self.ooo_slots is not None and self.ooo_slots < 1,
                               "ooo slots must be >= 1")):
             if bad:

@@ -234,10 +234,21 @@ def inject_reorder(trace: Trace, plan: InjectionPlan,
 def _victim_ooo(trace: Trace, ts: np.ndarray, rows: np.ndarray, window_ns: int) -> dict:
     """``oracle_ooo`` of the victims' rows alone, restamped with ``ts``: the
     oracle is per flow, and those rows, time-sorted on their own, keep
-    their order in the output trace."""
-    victim = np.take(trace.arr, np.flatnonzero(rows))
-    victim["ts"] = ts[rows]
-    return oracle_ooo(Trace(victim).time_sorted(), window_ns=window_ns)
+    their order in the output trace. The restamped timestamps are put in
+    ``time_order`` first, so the rows are gathered once, already sorted."""
+    index = np.flatnonzero(rows)
+    stamps = ts[index]
+
+    def rows_at(sub: np.ndarray) -> np.ndarray:
+        tied = np.take(trace.arr, index[sub])
+        tied["ts"] = stamps[sub]
+        return tied
+
+    order = time_order(stamps, rows_at)
+    victim = np.take(trace.arr, index[order])
+    victim["ts"] = stamps[order]
+    del index, stamps, order        # the oracle's own columns come next
+    return oracle_ooo(Trace(victim), window_ns=window_ns)
 
 
 def inject_duplicate(trace: Trace, plan: InjectionPlan,

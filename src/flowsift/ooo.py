@@ -3,14 +3,16 @@
 A packet is out of order when its id is at or below the flow's highest
 seen id and the flow was active within the recency window (default
 3 ms). Per-flow state (max id, last packet time) lives in a bounded
-two-way cuckoo cache. Each entry sits in its slot together with its key
-and alternate slot, hashed once per batch, so a kick moves an occupant
-to its stored alternate without re-hashing. Expiry is lazy, as in a
-switch register array: no timer or queue removes a stale entry; a read
-compares its last time with the window, treats it as absent, and the
-slot is overwritten. The cache's one per-packet loop needs DATA
-timestamps in non-decreasing order and raises ValueError on a
-timestamp that goes back.
+cache of ``STAGES`` hashed stages, one register array each, as in a
+one-pass switch pipeline. A packet reads its key's candidate slots, one
+per stage, in stage order: it updates its key's live entry, or else
+takes the first free slot, and is dropped when every candidate holds a
+live entry of another key. No entry moves and a live entry is never
+displaced. Expiry is lazy, as in a switch register array: no timer or
+queue removes a stale entry; a read compares its last time with the
+window, treats it as absent, and the slot is overwritten. The cache's
+one per-packet loop needs DATA timestamps in non-decreasing order and
+raises ValueError on a timestamp that goes back.
 Qualifying packets feed a weighted frequent-items table with 1/eps
 slots, so any flow holding more than an eps fraction of the total
 out-of-order weight is guaranteed a slot at stream end, and every slot
@@ -37,53 +39,56 @@ from .traceio import KEY_VOID, Trace, check_time_order
 # Accounting per entry/slot, in bytes: key plus the stated payload.
 CACHE_ENTRY_BYTES = 13 + 8 + 8   # key, max_seq, last_ts
 TOP_SLOT_BYTES = 13 + 8          # key, weight
-_LIST_BLOCK = 1 << 16             # rows RecencyCache.observe turns into lists at once
+_LIST_BLOCK = 1 << 16             # rows RecencyCache.observe hashes and turns into lists at once
+STAGES = 4                        # RecencyCache's hashed stages, one candidate slot each
 
 
 def ooo_shape(budget_bytes: int) -> tuple[int, int]:
     """Split an out-of-order budget: ~1/4 top-table slots, rest cache
-    (capacity rounded down to a power of two)."""
+    (capacity rounded down to a power of two, at least ``STAGES``)."""
     slots = max(1, budget_bytes // 4 // TOP_SLOT_BYTES)
     cache_budget = budget_bytes - slots * TOP_SLOT_BYTES
-    capacity = 1 << max(1, (cache_budget // CACHE_ENTRY_BYTES).bit_length() - 1)
+    capacity = 1 << max(2, (cache_budget // CACHE_ENTRY_BYTES).bit_length() - 1)
     return slots, capacity
 
 
 class RecencyCache:
     """Bounded map flow key -> (max seq, last packet ts) within a window.
 
-    Two-way cuckoo layout: each key has one candidate slot in each half
-    of the slot array, both hashed once per batch. An entry lives in one
-    of its key's candidates as ``[key, max_seq, last_ts, alternate]``, its
-    other candidate stored beside it, so a lookup reads the two
-    candidates and compares keys, as a switch reads two registers.
+    ``STAGES`` stages of capacity/``STAGES`` slots (d-left hashing,
+    Broder & Mitzenmacher, INFOCOM 2001, laid out as HashPipe's
+    per-stage register arrays, Sivaraman et al., SOSR 2017): each key has
+    one candidate slot per stage, stage j's at offset j·capacity/STAGES,
+    all hashed in one ``HashStack`` call per block of rows. An entry is
+    ``[key, max_seq, last_ts]`` and a key lives in at most one of its
+    candidates. Each packet makes one pass over its candidates: a live
+    entry of its key is updated, a stale one is cleared, and the first
+    free or stale candidate is remembered; with no live entry the key
+    takes that slot, or is dropped (counted in ``dropped``) when every
+    candidate holds a live entry of another key. A live entry is never
+    displaced.
+
     Expiry is lazy, as in a switch register array: an entry is stale
     once ``last_ts < ts - window_ns`` at the packet being processed, and
-    every read (the key lookup, the free-slot check, each step of a kick
-    chain) treats a stale entry as absent; it is unlinked when its key
-    arrives again or its slot is taken. Staleness only grows with time,
-    so this keeps exactly the entries that expiring every stale one
-    before each packet would keep. A new key takes a free candidate,
-    else kicks occupants to their stored alternates along a chain of at
-    most ``_MAX_KICKS`` moves, and whichever key is still displaced at
-    the end is dropped (counted in ``dropped``).
+    a read treats it as free. Staleness only grows with time, so this
+    keeps exactly the entries that expiring every stale one before each
+    packet would keep.
 
     ``observe`` is the only way in, and it needs DATA timestamps in
     non-decreasing order, within a batch and across batches.
     """
 
-    _MAX_KICKS = 8
-
     def __init__(self, capacity: int = 1 << 16, window_ns: int = 3_000_000,
                  *, run_seed: int = 0):
-        if capacity < 2 or capacity % 2:
-            raise ValueError("capacity must be even and >= 2: two halves of capacity/2 slots")
+        if capacity < STAGES or capacity % STAGES:
+            raise ValueError(f"capacity must be a multiple of {STAGES} and >= {STAGES}: "
+                             f"{STAGES} stages of capacity/{STAGES} slots")
         self.capacity = capacity
         self.window_ns = window_ns
         self.dropped = 0
-        self._halves = hashing.stack([hashing.derive_hash_pair(run_seed, j, hashing.STREAM_CACHE)
-                                      for j in (0, 1)])
-        self._half = capacity // 2
+        self._stages = hashing.stack([hashing.derive_hash_pair(run_seed, j, hashing.STREAM_CACHE)
+                                      for j in range(STAGES)])
+        self._width = capacity // STAGES
         self._slots: list[list | None] = [None] * capacity
         self._last_ts = 0       # the latest DATA timestamp seen
 
@@ -104,53 +109,43 @@ class RecencyCache:
         check_time_order(stamps, self._last_ts, "out-of-order detection")
         self._last_ts = int(stamps[-1])
         keys = data.key_matrix()
-        candidates = (hashing.bucket_batch(self._halves, hashing.fold64_matrix(keys),
-                                           self._half)
-                      + [[0], [self._half]])     # second half's offset
+        folds = hashing.fold64_matrix(keys)
+        offsets = np.arange(0, self.capacity, self._width)[:, None]
         keys, seqs = keys.view(KEY_VOID).ravel(), data.seq
         window, slots = self.window_ns, self._slots
         late = []
-        # Python lists of one block of rows at a time: the whole batch as
-        # lists would cost ~200 bytes of objects per row
+        # stage slots and Python lists of one block of rows at a time: the
+        # whole batch's (STAGES, n) int64 temporaries and lists would cost
+        # ~100 and ~200 bytes per row
         for lo in range(0, len(data), _LIST_BLOCK):
             block = slice(lo, lo + _LIST_BLOCK)
-            first, second = candidates[:, block].tolist()
-            for i, key, ts, seq, slot, alternate in zip(
+            candidates = hashing.bucket_batch(self._stages, folds[block], self._width) + offsets
+            for i, key, ts, seq, stage_slots in zip(
                     range(lo, lo + _LIST_BLOCK), keys[block].tolist(),
-                    stamps[block].tolist(), seqs[block].tolist(), first, second):
+                    stamps[block].tolist(), seqs[block].tolist(),
+                    zip(*candidates.tolist())):
                 cutoff = ts - window
-                held, entry = slot, slots[slot]
-                if entry is None or entry[0] != key:
-                    held, entry = alternate, slots[alternate]
-                if entry is not None and entry[0] == key:
-                    if entry[2] >= cutoff:
-                        if seq <= entry[1]:
-                            late.append(i)
-                        else:
-                            entry[1] = seq
-                        entry[2] = ts
-                        continue
-                    slots[held] = None      # stale: the key arrives as new
-                self._insert([key, seq, ts, alternate], slot, cutoff)
+                free = None
+                for slot in stage_slots:
+                    entry = slots[slot]
+                    if entry is not None and entry[2] >= cutoff:
+                        if entry[0] == key:
+                            if seq <= entry[1]:
+                                late.append(i)
+                            else:
+                                entry[1] = seq
+                            entry[2] = ts
+                            break
+                    elif free is None:
+                        free = slot
+                    elif entry is not None and entry[0] == key:
+                        slots[slot] = None      # stale: the key moves to ``free``
+                else:
+                    if free is None:
+                        self.dropped += 1
+                    else:
+                        slots[free] = [key, seq, ts]
         return late
-
-    def _insert(self, entry: list, slot: int, cutoff: int) -> None:
-        """Claim a slot for a new entry, kicking occupants to their stored
-        alternates; an occupant last seen before ``cutoff`` is stale and
-        its slot free. Whatever key is still displaced when the chain ends
-        is dropped (possibly the new key)."""
-        slots = self._slots
-        occupant, other = slots[slot], slots[entry[3]]
-        if (occupant is not None and occupant[2] >= cutoff
-                and (other is None or other[2] < cutoff)):
-            slot, entry[3] = entry[3], slot
-        for _ in range(self._MAX_KICKS):
-            occupant, slots[slot] = slots[slot], entry
-            if occupant is None or occupant[2] < cutoff:
-                return
-            entry = occupant
-            slot, entry[3] = entry[3], slot
-        self.dropped += 1
 
     def active_flows(self) -> dict[bytes, tuple[int, int]]:
         """Live entries at the latest timestamp seen: key -> (max seq, last ts)."""

@@ -175,11 +175,13 @@ def test_missing_rate_is_config_error(workspace):
     ("ooo", "--cache-capacity", 0),
     ("ooo", "--cache-capacity", 1),
     ("ooo", "--cache-capacity", 5),
+    ("ooo", "--cache-capacity", 2),
+    ("ooo", "--cache-capacity", 6),
     ("framework-count", "--framework-buckets", 0),
 ], ids=["report-epsilon", "k-threshold", "epsilon-ooo", "epsilon-retransmit",
         "epsilon-zero", "window-ms", "time-unit", "epsilon-sketch", "epsilon-sketch-negative",
         "rows-zero", "cache-capacity-zero", "cache-capacity-one", "cache-capacity-odd",
-        "framework-buckets-zero"])
+        "cache-capacity-two", "cache-capacity-six", "framework-buckets-zero"])
 def test_out_of_range_knob_is_config_error(workspace, capsys, detector, flag, value):
     _, trace = workspace
     assert run_cli("--trace", trace, "run", "--detector", detector, flag, value) == 2

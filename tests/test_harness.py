@@ -44,15 +44,17 @@ def test_budget_mapping_matches_paper_arithmetic():
 
 @pytest.mark.parametrize("overrides", [{"rows": 0}, {"rows": -1}, {"cache_capacity": 0},
                                        {"cache_capacity": 1}, {"ooo_slots": 0},
-                                       {"cache_capacity": 5}])    # odd: last slot unusable
+                                       {"cache_capacity": 5},     # odd: last slots unusable
+                                       {"cache_capacity": 2},     # fewer slots than stages
+                                       {"cache_capacity": 6}])    # not a multiple of 4
 def test_size_overrides_below_their_minimum_are_config_errors(overrides):
     with pytest.raises(ConfigError):
         DetectorConfig("ooo", **overrides).validate()
 
 
 def test_ooo_size_overrides_are_taken_as_given():
-    det = OooDetector.from_config(DetectorConfig("ooo", ooo_slots=3, cache_capacity=2))
-    assert (det.slots, det.cache_capacity) == (3, 2)
+    det = OooDetector.from_config(DetectorConfig("ooo", ooo_slots=3, cache_capacity=4))
+    assert (det.slots, det.cache_capacity) == (3, 4)
 
 
 def test_ooo_shape_fits_budget():

@@ -151,7 +151,7 @@ def test_unbounded_cache_matches_truth():
     assert det.cache.active_flows() == live
 
 
-def test_cuckoo_cache_drops_are_counted():
+def test_full_cache_drops_are_counted():
     cache = RecencyCache(capacity=4, window_ns=10**12, run_seed=1)
     cache.observe(Trace.from_records(
         [data_packet(make_key(i), 1, i) for i in range(64)]))
@@ -160,41 +160,52 @@ def test_cuckoo_cache_drops_are_counted():
 
 
 def test_odd_cache_capacity_is_rejected():
-    # two halves of capacity // 2 slots would leave the last slot unused
-    with pytest.raises(ValueError, match="even"):
-        RecencyCache(capacity=5)
+    # four stages of capacity // 4 slots would leave the last slots unused
+    for capacity in (5, 6):
+        with pytest.raises(ValueError, match="multiple of 4"):
+            RecencyCache(capacity=capacity)
+
+
+STAGES = 4
+
+
+def stage_slots(hashes, key, width):
+    """A key's candidate slots, one per stage, from the scalar hash path."""
+    fold = hashing.fold64(key)
+    return [j * width + hashing.bucket_of_fold(h, fold, width) for j, h in enumerate(hashes)]
 
 
 class EagerCache:
-    """Reference: the same two-way cuckoo cache with eager expiry. A queue
-    of (ts, key) removes every entry last seen before ts - window, and
-    frees its slot, before each packet is looked up."""
-
-    _MAX_KICKS = 8
+    """Reference: the same four-stage first-fit cache with eager expiry. A
+    queue of (ts, key) removes every entry last seen before ts - window,
+    and frees its slot, before each packet is looked up; a new key takes
+    the first free of its stage slots, or is dropped."""
 
     def __init__(self, capacity, window_ns, run_seed):
         self.window_ns = window_ns
         self.dropped = 0
-        self.entries = {}           # key -> [max_seq, last_ts, slot, alternate]
+        self.entries = {}           # key -> [max_seq, last_ts, slot]
         self.expiry = deque()
-        self.h1 = hashing.derive_hash_pair(run_seed, 0, hashing.STREAM_CACHE)
-        self.h2 = hashing.derive_hash_pair(run_seed, 1, hashing.STREAM_CACHE)
-        self.half = capacity // 2
+        self.hashes = [hashing.derive_hash_pair(run_seed, j, hashing.STREAM_CACHE)
+                       for j in range(STAGES)]
+        self.width = capacity // STAGES
         self.slots = [None] * capacity
 
     def observe(self, data):
-        keys = data.key_matrix()
-        folds = hashing.fold64_matrix(keys)
-        first = hashing.bucket_batch(self.h1, folds, self.half).tolist()
-        second = (self.half + hashing.bucket_batch(self.h2, folds, self.half)).tolist()
         late = []
-        for i, (key, ts, seq, slot, alternate) in enumerate(zip(
-                [row.tobytes() for row in keys], data.ts.tolist(), data.seq.tolist(),
-                first, second)):
+        for i, (key, ts, seq) in enumerate(zip(
+                [row.tobytes() for row in data.key_matrix()], data.ts.tolist(),
+                data.seq.tolist())):
             self.expire(ts)
             entry = self.entries.get(key)
             if entry is None:
-                self.insert(key, [seq, ts, slot, alternate])
+                free = [slot for slot in stage_slots(self.hashes, key, self.width)
+                        if self.slots[slot] is None]
+                if free:
+                    self.slots[free[0]] = key
+                    self.entries[key] = [seq, ts, free[0]]
+                else:
+                    self.dropped += 1
             else:
                 if seq <= entry[0]:
                     late.append(i)
@@ -203,20 +214,6 @@ class EagerCache:
                 entry[1] = ts
             self.expiry.append((ts, key))
         return late
-
-    def insert(self, key, entry):
-        entries, slots = self.entries, self.slots
-        entries[key] = entry
-        if slots[entry[2]] is not None and slots[entry[3]] is None:
-            entry[2], entry[3] = entry[3], entry[2]
-        for _ in range(self._MAX_KICKS):
-            key, slots[entry[2]] = slots[entry[2]], key
-            if key is None:
-                return
-            entry = entries[key]
-            entry[2], entry[3] = entry[3], entry[2]
-        del entries[key]
-        self.dropped += 1
 
     def expire(self, now_ns):
         cutoff = now_ns - self.window_ns
@@ -229,13 +226,15 @@ class EagerCache:
 
 
 # (key index, id, gap to the previous packet): few keys and ids, and zero
-# gaps, so that hits, repeated ids, tied timestamps and expiries all occur
-packets_st = st.lists(st.tuples(st.integers(0, 11), st.integers(0, 6), st.integers(0, 15)),
-                      min_size=1, max_size=80)
+# gaps, so that hits, repeated ids, tied timestamps and expiries all occur;
+# at least 20 packets and windows up to 300 ns, so that about half the
+# examples fill every stage slot of some key and drop it
+packets_st = st.lists(st.tuples(st.integers(0, 15), st.integers(0, 6), st.integers(0, 15)),
+                      min_size=20, max_size=80)
 
 
-cache_st = (packets_st, st.integers(1, 8).map(lambda half: 2 * half),   # even capacities 2..16
-            st.integers(0, 40), st.integers(0, 3), st.lists(st.integers(1, 12), max_size=80))
+cache_st = (packets_st, st.integers(1, 8).map(lambda n: STAGES * n),   # capacities 4..32
+            st.integers(0, 300), st.integers(0, 3), st.lists(st.integers(1, 12), max_size=80))
 
 
 def cache_batches(packets, sizes):
@@ -266,20 +265,32 @@ def test_lazy_expiry_matches_eager_reference(packets, capacity, window, run_seed
 
 @given(*cache_st)
 def test_every_entry_sits_in_one_of_its_candidates(packets, capacity, window, run_seed, sizes):
-    # a lookup reads only the key's two candidate slots, so every entry, live
-    # or stale, must sit in one of them with the other as its stored alternate
+    # a lookup reads only the key's stage slots, so every entry, live or
+    # stale, must sit in one of them, and no key may be held twice
     cache = RecencyCache(capacity, window, run_seed=run_seed)
-    hashes = [hashing.derive_hash_pair(run_seed, j, hashing.STREAM_CACHE) for j in (0, 1)]
-    half = capacity // 2
+    hashes = [hashing.derive_hash_pair(run_seed, j, hashing.STREAM_CACHE) for j in range(STAGES)]
     for batch in cache_batches(packets, sizes):
         cache.observe(batch)
         held = [(slot, entry) for slot, entry in enumerate(cache._slots) if entry is not None]
         for slot, entry in held:
-            fold = hashing.fold64_keys([entry[0]])
-            candidates = {int(hashing.bucket_batch(h, fold, half)[0]) + offset
-                          for h, offset in zip(hashes, (0, half))}
-            assert {slot, entry[3]} == candidates
+            assert slot in stage_slots(hashes, entry[0], capacity // STAGES)
         assert len({entry[0] for _, entry in held}) == len(held)
+
+
+@given(packets_st, cache_st[1], cache_st[2], cache_st[3])
+def test_live_entry_stays_until_its_window_lapses(packets, capacity, window, run_seed):
+    # whatever keys arrive, a key live in the cache is never displaced: it
+    # stays in active_flows, its max id kept, until its window lapses
+    cache = RecencyCache(capacity, window, run_seed=run_seed)
+    live = {}
+    for batch in cache_batches(packets, [1] * (len(packets) - 1)):
+        cache.observe(batch)
+        cutoff = int(batch.ts[0]) - window
+        flows = cache.active_flows()
+        for key, (seq, ts) in live.items():
+            if ts >= cutoff:
+                assert key in flows and flows[key][0] >= seq, key
+        live = flows
 
 
 @pytest.fixture(scope="module")

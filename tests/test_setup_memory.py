@@ -16,6 +16,12 @@ trace's key matrix, the sampling step stays under ``SAMPLING_BOUND``
 record arrays (a whole (n, 13) key copy next to one float64 draw per
 record took it to 0.84), and the block draws give the one-shot stream on
 an epoch longer than one block.
+
+The reorder injector's oracle over the victims' rows (a third of the
+records here) orders their restamped timestamps first and gathers the
+rows once, already sorted: it stays under ``VICTIM_ORACLE_BOUND`` record
+arrays, where a gather followed by ``time_sorted``'s second gather took
+1.19.
 """
 
 import tracemalloc
@@ -23,7 +29,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from flowsift.inject import DRAW_BLOCK, INJECTORS, InjectionPlan, _sample_victim_data
+from flowsift.inject import (DRAW_BLOCK, INJECTORS, REORDER_DELAY_NS, InjectionPlan,
+                             _sample_victim_data, _victim_ooo)
 from flowsift.packets import PacketType
 from flowsift.synth import SynthConfig, synthesize
 from flowsift.traceio import Trace
@@ -31,6 +38,7 @@ from flowsift.traceio import Trace
 SYNTH = SynthConfig(flows=2_000, packets=50_000, seed=1)    # ~105 k records
 SLACK = 0.9      # record arrays' worth of column temporaries
 SAMPLING_BOUND = 0.75    # record arrays; ranking the flows alone takes 0.7
+VICTIM_ORACLE_BOUND = 1.0    # record arrays; 0.84 here
 RATES = {"latency": 1_000_000, "loss": 0.1, "reorder": 0.1, "duplicate": 0.1}
 
 
@@ -72,6 +80,16 @@ def test_injector_holds_its_output_and_columns(base, kind):
 def test_victim_sampling_stays_under_its_bound(base):
     _, peak = traced_peak(_sample_victim_data, base, plan_of("reorder"))
     assert peak < SAMPLING_BOUND * base.arr.nbytes, peak / base.arr.nbytes
+
+
+def test_victim_oracle_gathers_the_victim_rows_once(base):
+    _, victim_idx, sampled = _sample_victim_data(base, plan_of("reorder"))
+    ts = base.ts.copy()
+    ts[sampled] += np.uint64(REORDER_DELAY_NS)
+    victims = victim_idx >= 0
+    assert victims.mean() > 0.3
+    _, peak = traced_peak(_victim_ooo, base, ts, victims, 3_000_000)
+    assert peak < VICTIM_ORACLE_BOUND * base.arr.nbytes, peak / base.arr.nbytes
 
 
 def test_block_draws_give_the_one_shot_sample(base):
