@@ -164,8 +164,8 @@ class CountSketchTable:
                              f"for {rows} x {buckets} counters")
         seeds = list(struct.iter_unpack("<QQQQ", data[head_size:head_size + 32 * rows]))
         table = cls(rows, buckets,
-                    row_hashes=[HashPair(a, b, j) for j, (a, b, _, _) in enumerate(seeds)],
-                    sign_hashes=[HashPair(a, b, j) for j, (_, _, a, b) in enumerate(seeds)])
+                    row_hashes=[HashPair(a, b) for a, b, _, _ in seeds],
+                    sign_hashes=[HashPair(a, b) for _, _, a, b in seeds])
         table.counters = np.frombuffer(data, dtype="<i8", offset=head_size + 32 * rows
                                        ).reshape(rows, buckets).astype(np.int64)
         table.total_l1 = total_l1

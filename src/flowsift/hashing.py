@@ -54,7 +54,6 @@ class HashPair:
 
     a: int
     b: int
-    row: int = 0
 
     def __post_init__(self) -> None:
         if self.a == 0:
@@ -77,7 +76,7 @@ def derive_hash_pair(run_seed: int, row: int, stream: int) -> HashPair:
     state = (run_seed ^ ((row + 1) * GOLDEN64) ^ (stream * _STREAM_SALT)) & MASK64
     state, a = splitmix64(state)
     state, b = splitmix64(state)
-    return HashPair(a | 1, b, row)
+    return HashPair(a | 1, b)
 
 
 # -- byte folding -------------------------------------------------------------

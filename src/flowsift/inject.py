@@ -215,14 +215,12 @@ def inject_loss(trace: Trace, plan: InjectionPlan) -> tuple[Trace, dict]:
     return out, _manifest(plan, out, victims, [plan.magnitude] * len(victims), dropped)
 
 
-def inject_reorder(trace: Trace, plan: InjectionPlan,
-                   delay_ns: int = REORDER_DELAY_NS,
-                   window_ns: int = 3_000_000) -> tuple[Trace, dict]:
+def inject_reorder(trace: Trace, plan: InjectionPlan) -> tuple[Trace, dict]:
     """Delay sampled victim DATA packets by 5 ms to break packet order."""
     victims, victim_idx, sampled = _sample_victim_data(trace, plan)
     ts = trace.ts.copy()
-    ts[sampled] += np.uint64(delay_ns)
-    weights = _victim_ooo(trace, ts, victim_idx >= 0, window_ns)
+    ts[sampled] += np.uint64(REORDER_DELAY_NS)
+    weights = _victim_ooo(trace, ts, victim_idx >= 0)
     del victim_idx
     placement = _placement(trace, ts, sampled)
     del ts
@@ -231,7 +229,7 @@ def inject_reorder(trace: Trace, plan: InjectionPlan,
                           [weights.get(v, 0) for v in victims])
 
 
-def _victim_ooo(trace: Trace, ts: np.ndarray, rows: np.ndarray, window_ns: int) -> dict:
+def _victim_ooo(trace: Trace, ts: np.ndarray, rows: np.ndarray) -> dict:
     """``oracle_ooo`` of the victims' rows alone, restamped with ``ts``: the
     oracle is per flow, and those rows, time-sorted on their own, keep
     their order in the output trace. The restamped timestamps are put in
@@ -248,17 +246,16 @@ def _victim_ooo(trace: Trace, ts: np.ndarray, rows: np.ndarray, window_ns: int) 
     victim = np.take(trace.arr, index[order])
     victim["ts"] = stamps[order]
     del index, stamps, order        # the oracle's own columns come next
-    return oracle_ooo(Trace(victim), window_ns=window_ns)
+    return oracle_ooo(Trace(victim))
 
 
-def inject_duplicate(trace: Trace, plan: InjectionPlan,
-                     jitter_ns: int = DUPLICATE_JITTER_NS) -> tuple[Trace, dict]:
+def inject_duplicate(trace: Trace, plan: InjectionPlan) -> tuple[Trace, dict]:
     """Append a jittered copy of sampled victim DATA packets."""
     victims, victim_idx, sampled = _sample_victim_data(trace, plan)
     copied = np.bincount(victim_idx[sampled], minlength=len(victims))
     del victim_idx
     copies = np.flatnonzero(sampled)
-    ts = np.concatenate([trace.ts, trace.ts[copies] + np.uint64(jitter_ns)])
+    ts = np.concatenate([trace.ts, trace.ts[copies] + np.uint64(DUPLICATE_JITTER_NS)])
     moved = np.zeros(len(ts), dtype=bool)
     moved[len(trace):] = True
     placement = _placement(trace, ts, moved, copies)

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import hashing
 from .oracle import rtt_totals
-from .packets import CanonicalPair, FlowKey, TypeFilter, canonicalize
+from .packets import TypeFilter
 from .reporter import GatedSketchDetector, SketchInput
 from .reports import HeavyReport
 from .traceio import Trace
@@ -65,9 +65,6 @@ class LatencyDetector(GatedSketchDetector):
         return SketchInput(rows, matrix, hashing.fold64_matrix(matrix),
                            np.where(fwd, mag, -mag), trigger)
 
-    def estimate(self, key: "FlowKey | CanonicalPair | bytes") -> int:
-        return self.table.estimate(_pair_bytes(key))
-
     def topk(self, candidates: list[bytes], k: int) -> HeavyReport:
         """The k candidate pair bytes of largest magnitude.
 
@@ -76,11 +73,3 @@ class LatencyDetector(GatedSketchDetector):
         cancels there, where a median over row magnitudes would keep it.
         """
         return HeavyReport(self.table.signed_magnitudes(candidates, k))
-
-
-def _pair_bytes(key) -> bytes:
-    if isinstance(key, bytes):
-        return key
-    if isinstance(key, FlowKey):
-        return canonicalize(key).to_bytes()
-    return key.to_bytes()

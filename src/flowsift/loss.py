@@ -23,7 +23,7 @@ import numpy as np
 
 from . import hashing
 from .oracle import loss_counts
-from .packets import FlowKey, PacketType
+from .packets import PacketType
 from .reporter import GatedSketchDetector, SketchInput
 from .reports import HeavyReport
 from .traceio import Trace
@@ -60,9 +60,6 @@ class LossDetector(GatedSketchDetector):
         return SketchInput(rows, keys, hashing.fold64_matrix(keys),
                            np.where(seq % 2 == 1, g, -g), np.ones(len(rows), dtype=bool))
 
-    def estimate(self, key: "FlowKey | bytes") -> int:
-        return self.table.estimate(_key_bytes(key))
-
     def topk(self, candidates: list[bytes], k: int) -> HeavyReport:
         """The k candidate key bytes of largest walk magnitude.
 
@@ -80,7 +77,3 @@ def loss_count_estimate(walk_magnitude: float) -> int:
     if walk_magnitude < 0:
         raise ValueError("walk magnitude must be >= 0")
     return round(math.pi * walk_magnitude * walk_magnitude / 2.0)
-
-
-def _key_bytes(key) -> bytes:
-    return key if isinstance(key, bytes) else key.to_bytes()

@@ -239,10 +239,6 @@ class OooDetector:
     def epsilon(self) -> float:
         return 1.0 / self.slots
 
-    def observe(self, packet) -> None:
-        """One packet, as a trace of one."""
-        self.observe_trace(Trace.from_records([packet]))
-
     def observe_trace(self, trace: Trace) -> None:
         """Stream a time-sorted trace: the cache picks out the out-of-order
         DATA packets, and their weights are absorbed in arrival order."""
@@ -257,7 +253,7 @@ class OooDetector:
 
     def topk(self, k: int) -> HeavyReport:
         entries = ranked([(key, w) for key, w in self.table.occupied() if w > 0])
-        return HeavyReport([(key, float(w)) for key, w in entries[:k]])
+        return HeavyReport([(key, float(w)) for key, w in entries[:max(k, 0)]])
 
     def run(self, trace: Trace, k: int) -> HeavyReport:
         self.observe_trace(trace)

@@ -65,28 +65,23 @@ class BloomGate:
         """Insert prefolded keys in order; the indices of those that had an
         unset bit, each set and counted in ``inserted``.
 
-        Folds whose bits are all set already are screened out at once
-        (bits are never cleared). Of the rest, a fold that shares no bit
-        position with another depends only on the bits set before the
-        call, so all such folds are set at once; the folds that share a
-        bit go one by one, because one set earlier in the call can make a
-        later one a false positive.
+        Bits are only ever set, so a fold finds a bit unset at its turn
+        exactly when that position was clear before the call and no
+        earlier fold of the call has it: an earlier fold either set it or
+        found it set. Folds whose bits are all set already are screened
+        out; one stable sort of the rest's positions finds each position's
+        first fold, and every bit is set at once.
         """
         positions = self._positions(folds)
-        array = self.array
-        rest = np.flatnonzero(~array[positions].all(axis=1))
-        rest_pos = positions[rest]
-        _, inverse, counts = np.unique(rest_pos, return_inverse=True, return_counts=True)
-        shared = (counts[inverse.reshape(rest_pos.shape)] > 1).any(axis=1)
-        array[rest_pos[~shared]] = True
-        new = rest[~shared].tolist()
-        for i, pos in zip(rest[shared].tolist(), rest_pos[shared].tolist()):
-            if not all(array[p] for p in pos):
-                array[pos] = True
-                new.append(i)
-        new.sort()
-        self.inserted += len(new)
-        return new
+        rest = np.flatnonzero(~self.array[positions].all(axis=1))
+        flat = positions[rest].ravel()
+        order = stable_order(flat)
+        first = order[run_starts(flat[order])]      # each position's first entry
+        new = np.zeros(len(rest), dtype=bool)
+        new[first[~self.array[flat[first]]] // positions.shape[1]] = True
+        self.array[flat] = True
+        self.inserted += int(new.sum())
+        return rest[new].tolist()
 
     def memory_bytes(self) -> int:
         return self.bits // 8
@@ -237,14 +232,9 @@ class GatedSketchDetector(SketchDetector):
         return cls(buckets=cfg.buckets, rows=cfg.rows, run_seed=cfg.seed,
                    report_epsilon=cfg.report_epsilon)
 
-    def observe(self, packet) -> None:
-        """One packet, as a trace of one: its sketch input applied at once."""
-        fed = self.observe_batch(Trace.from_records([packet]))
-        self.table.update_batch(fed.folds, fed.deltas)
-
-    def run(self, trace: Trace, k: int) -> HeavyReport:
-        """Prepare the trace's sketch input once, stream it chunk by chunk
-        through the sketch and the gate, then rank the mirrored keys."""
+    def observe_trace(self, trace: Trace) -> None:
+        """Prepare the trace's sketch input once and stream it chunk by
+        chunk through the sketch and the gate."""
         fed = self.observe_batch(trace)
         starts = range(0, len(trace), CHUNK)
         cuts = np.searchsorted(fed.rows, [*starts, len(trace)]).tolist()
@@ -260,6 +250,10 @@ class GatedSketchDetector(SketchDetector):
             self.candidates.entries.extend(
                 (blob[j * width:(j + 1) * width], now, value)
                 for j, value in enumerate(estimates[new].astype(float).tolist()))
+
+    def run(self, trace: Trace, k: int) -> HeavyReport:
+        """Stream the trace, then rank the mirrored keys."""
+        self.observe_trace(trace)
         return self.topk(self.candidates.keys(), k)
 
     def controller_inputs(self) -> tuple[CandidateLog, bytes]:

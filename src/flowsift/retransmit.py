@@ -195,10 +195,6 @@ class RetransmitDetector(SketchDetector):
         return np.sort(np.fromiter((flow.fold for flow in self.tracked.values()),
                                    dtype=np.uint64, count=len(self.tracked)))
 
-    def observe(self, packet) -> None:
-        """One packet, as a trace of one."""
-        self.observe_trace(Trace.from_records([packet]), chunk=1)
-
     def observe_batch(self, trace: Trace) -> SketchInput:
         """The trace's sketch input: every DATA record's key, fold and count
         of one, each a trigger. Checks the DATA time order (see ``observe_trace``)
@@ -260,7 +256,7 @@ class RetransmitDetector(SketchDetector):
 
     def run(self, trace: Trace, k: int) -> HeavyReport:
         self.observe_trace(trace)
-        return HeavyReport(self.report(self.k_threshold).entries[:k])
+        return HeavyReport(self.report(self.k_threshold).entries[:max(k, 0)])
 
     def controller_inputs(self) -> tuple[None, None]:
         return None, None       # no controller re-rank: the report is final

@@ -142,10 +142,10 @@ def test_criterion_07_misra_gries_determinism():
             records += [data_packet(key, s, base + 400 * i, 1)
                         for i, s in enumerate(seqs)]
         records.sort(key=lambda p: p.ts)
-        for p in records:
-            det.observe(p)
+        trace = Trace.from_records(records)
+        det.observe_trace(trace)
         drops += det.cache.dropped
-        truth = oracle_ooo(Trace.from_records(records), det.window_ns, "packets")
+        truth = oracle_ooo(trace, det.window_ns, "packets")
         total = sum(truth.values())
         slots = {k for k, _ in det.table.occupied()}
         for key, w in truth.items():
@@ -197,8 +197,7 @@ def test_criterion_09_retransmit_separation():
         packets += flow_stream(clean, range(1, 3201), start_ts=250, gap_ns=500)
         packets.sort(key=lambda p: p.ts)
         det = RetransmitDetector(buckets=2000, rows=5, epsilon=0.2, run_seed=seed)
-        for p in packets:
-            det.observe(p)
+        det.observe_trace(Trace.from_records(packets), chunk=1)
         reported = det.report(k_thr).keys()
         if heavy_dup.to_bytes() in reported:
             reported_hits += 1

@@ -57,11 +57,11 @@ def test_untouched_key_on_empty_table_estimates_zero():
 
 
 def test_even_row_count_takes_lower_middle():
-    rows = [hashing.HashPair(1, 0, j) for j in range(2)]
+    rows = [hashing.HashPair(1, 0) for _ in range(2)]
     # Force both rows to bucket 0 with opposite effective values via signs.
     t = CountSketchTable(2, 1, row_hashes=rows,
-                         sign_hashes=[hashing.HashPair(1, 0, 0),
-                                      hashing.HashPair(1, 1 << 63, 1)])
+                         sign_hashes=[hashing.HashPair(1, 0),
+                                      hashing.HashPair(1, 1 << 63)])
     t.counters[0, 0] = 10
     t.counters[1, 0] = 10
     x = fold64(b"k")

@@ -268,6 +268,16 @@ def test_run_artifacts_per_kind(base_trace, kind):
         assert art.candidates is None and art.snapshot is None
 
 
+@pytest.mark.parametrize("k", [0, -1])
+@pytest.mark.parametrize("kind", list(_ARTIFACT_PLANS))
+def test_run_with_k_below_one_reports_nothing(base_trace, kind, k):
+    plan = _ARTIFACT_PLANS[kind]
+    trace, _ = INJECTORS[plan.kind](base_trace, plan)
+    cfg = DetectorConfig(kind, seed=4, report_epsilon=1e-4, epsilon=0.01)
+    assert len(harness.DETECTORS[kind].from_config(cfg).run(trace, 20)) > 0
+    assert harness.DETECTORS[kind].from_config(cfg).run(trace, k).entries == []
+
+
 def test_loss_pipeline_end_to_end():
     trace, _ = synthesize(SynthConfig(flows=300, packets=30_000, seed=22))
     out, manifest = inject_loss(trace, InjectionPlan("loss", 0.2, victims=20,

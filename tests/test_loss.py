@@ -26,7 +26,7 @@ def single_flow_trace(seqs) -> Trace:
 def single_flow_estimate(seqs, seed=0, buckets=256):
     det = LossDetector(buckets=buckets, rows=5, run_seed=seed)
     det.run(single_flow_trace(seqs), 1)
-    return det.estimate(make_key(0))
+    return det.table.estimate(make_key(0).to_bytes())
 
 
 def test_complete_even_flow_cancels_exactly():
@@ -73,7 +73,8 @@ def test_walk_bounded_by_unpaired_count_every_seed():
 
 def test_acks_ignored():
     det = LossDetector(buckets=64, rows=3, run_seed=1)
-    det.observe(PacketRecord(make_key(1), PacketType.ACK, 0, 5, 100, 40))
+    det.observe_trace(Trace.from_records([PacketRecord(make_key(1), PacketType.ACK, 0, 5,
+                                                       100, 40)]))
     assert det.skipped == 1
     assert not det.table.counters.any()
 
@@ -81,17 +82,17 @@ def test_acks_ignored():
 def test_seq_zero_rejected():
     det = LossDetector(buckets=64, rows=3, run_seed=1)
     with pytest.raises(ValueError):
-        det.observe(data_packet(make_key(1), 0, 100))
+        det.observe_trace(Trace.from_records([data_packet(make_key(1), 0, 100)]))
 
 
 def test_topk_flags_nothing_without_losses():
     det = LossDetector(buckets=512, rows=5, run_seed=2)
-    keys = []
+    keys, records = [], []
     for i in range(40):
         key = make_key(i)
-        for p in flow_stream(key, range(1, 8)):   # odd length: walk = +/-1
-            det.observe(p)
+        records += flow_stream(key, range(1, 8))   # odd length: walk = +/-1
         keys.append(key.to_bytes())
+    det.observe_trace(Trace.from_records(records))
     report = det.topk(keys, k=40)
     assert max(v for _, v in report.entries) <= 1
 
@@ -102,11 +103,9 @@ def test_topk_carries_candidate_normalization():
     lossy = make_key(0)
     kept = np.setdiff1d(np.arange(1, 2001),
                         rng.choice(np.arange(1, 2001), 400, replace=False))
-    for p in flow_stream(lossy, kept):
-        det.observe(p)
     intact = make_key(1)
-    for p in flow_stream(intact, range(1, 2001)):
-        det.observe(p)
+    det.observe_trace(Trace.from_records(flow_stream(lossy, kept)
+                                         + flow_stream(intact, range(1, 2001))))
     report = det.topk([lossy.to_bytes(), intact.to_bytes()], k=2)
     assert report.keys()[0] == lossy.to_bytes()
 
@@ -126,7 +125,7 @@ def test_batch_matches_scalar(small_trace):
     d1 = LossDetector(buckets=128, rows=5, run_seed=5)
     d2 = LossDetector(buckets=128, rows=5, run_seed=5)
     for p in small_trace.records():
-        d1.observe(p)
+        d1.observe_trace(Trace.from_records([p]))
     d2.run(small_trace, 1)
     assert (d1.table.counters == d2.table.counters).all()
     assert d1.skipped == d2.skipped

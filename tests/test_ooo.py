@@ -18,8 +18,8 @@ MS = 1_000_000
 
 
 def observe_seqs(det, key, seq_ts_pairs, size=100):
-    for seq, ts in seq_ts_pairs:
-        det.observe(data_packet(key, seq, ts, size))
+    det.observe_trace(Trace.from_records(
+        [data_packet(key, seq, ts, size) for seq, ts in seq_ts_pairs]))
 
 
 def test_monotone_sequence_records_nothing():
@@ -59,7 +59,8 @@ def test_non_data_packets_skipped():
     det.observe_trace(Trace.from_records(
         [data_packet(make_key(0), 1, 0)]))
     from flowsift.packets import PacketRecord
-    det.observe(PacketRecord(make_key(0), PacketType.ACK, 0, 1, 100, 40))
+    det.observe_trace(Trace.from_records(
+        [PacketRecord(make_key(0), PacketType.ACK, 0, 1, 100, 40)]))
     assert det.skipped == 1
 
 
@@ -96,12 +97,10 @@ def test_misra_gries_retention_fuzzed():
                 seqs.insert(int(j), 1)        # re-insert id 1: out of order
             packets += [(key, s, base + 500 * i) for i, s in enumerate(seqs)]
         packets.sort(key=lambda t: t[2])
-        for key, seq, ts in packets:
-            det.observe(data_packet(key, seq, ts, 1))
+        trace = Trace.from_records([data_packet(k, s, t, 1) for k, s, t in packets])
+        det.observe_trace(trace)
         assert det.cache.dropped == 0, f"trial {trial}"
-        weights = oracle_ooo(Trace.from_records(
-            [data_packet(k, s, t, 1) for k, s, t in packets]), det.window_ns,
-            "packets")
+        weights = oracle_ooo(trace, det.window_ns, "packets")
         total = sum(weights.values())
         slots = {k for k, w in det.table.occupied()}
         for key, w in weights.items():
@@ -121,10 +120,10 @@ def test_slot_weights_never_overestimate():
             records += [data_packet(key, s, (base + i) * 100_000, 1)
                         for i, s in enumerate(seqs)]
         records.sort(key=lambda p: p.ts)
-        for p in records:
-            det.observe(p)
+        trace = Trace.from_records(records)
+        det.observe_trace(trace)
         assert det.cache.dropped == 0, f"trial {trial}"
-        weights = oracle_ooo(Trace.from_records(records), det.window_ns, "packets")
+        weights = oracle_ooo(trace, det.window_ns, "packets")
         for key, w in det.table.occupied():
             assert w <= weights.get(key, 0)
 
@@ -132,20 +131,21 @@ def test_slot_weights_never_overestimate():
 def test_unbounded_cache_matches_truth():
     rng = np.random.default_rng(7)
     det = OooDetector(slots=16, cache_capacity=1 << 16)
-    truth = {}
+    truth, records = {}, []
     now = 0
     for _ in range(2000):
         fi = int(rng.integers(0, 30))
         key = make_key(fi)
         seq = int(rng.integers(1, 100))
         now += int(rng.integers(1, 400_000))
-        det.observe(data_packet(key, seq, now))
+        records.append(data_packet(key, seq, now))
         kb = key.to_bytes()
         prev = truth.get(kb)
         if prev is None or now - prev[1] > det.window_ns:
             truth[kb] = (seq, now)
         else:
             truth[kb] = (max(prev[0], seq), now)
+    det.observe_trace(Trace.from_records(records))
     assert det.cache.dropped == 0
     live = {k: v for k, v in truth.items() if now - v[1] <= det.window_ns}
     assert det.cache.active_flows() == live
@@ -386,6 +386,27 @@ def test_top_table_decrement_all_when_event_small():
     assert weights == {b"a": 5, b"b": 15}
 
 
+@given(st.lists(st.tuples(st.integers(0, 15), st.integers(1, 100)), max_size=200),
+       st.integers(1, 8))
+def test_top_table_retains_frequent_keys_and_underestimates(stream, slots):
+    # the frequent-items contract in the ooo module docstring: at stream
+    # end every key holding more than total/slots of the absorbed weight
+    # holds a slot, and every slot weight is >= 0 and at most its key's
+    # exact total
+    table, exact = TopTable(slots), {}
+    for k, weight in stream:
+        key = bytes([k])
+        table.absorb(key, weight)
+        exact[key] = exact.get(key, 0) + weight
+    total = sum(exact.values())
+    held = dict(table.occupied())
+    for key, weight in exact.items():
+        if weight * slots > total:
+            assert key in held, (key, weight, total)
+    for key, weight in held.items():
+        assert 0 <= weight <= exact[key], (key, weight)
+
+
 def test_fast_loop_matches_scalar_observe():
     rng = np.random.default_rng(20)
     records = []
@@ -402,7 +423,7 @@ def test_fast_loop_matches_scalar_observe():
     d2 = OooDetector(slots=32, cache_capacity=64, run_seed=3)
     d1.observe_trace(trace)
     for p in records:
-        d2.observe(p)
+        d2.observe_trace(Trace.from_records([p]))
     assert sorted(d1.table.occupied()) == sorted(d2.table.occupied())
     assert d1.cache.active_flows() == d2.cache.active_flows()
     assert d1.cache.dropped == d2.cache.dropped

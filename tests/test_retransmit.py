@@ -13,9 +13,9 @@ from conftest import data_packet, flow_stream, make_key
 
 
 def stream_detector(packets, **kw) -> RetransmitDetector:
+    """A detector fed the packets as one trace, admitting per packet."""
     det = RetransmitDetector(buckets=512, rows=5, **kw)
-    for p in packets:
-        det.observe(p)
+    det.observe_trace(Trace.from_records(packets), chunk=1)
     return det
 
 
@@ -85,11 +85,12 @@ def test_elephant_tracked_by_half_threshold():
     # single elephant: tracked no later than its (eps/2 * T)-th packet
     key = make_key(0)
     det = RetransmitDetector(buckets=512, rows=5, epsilon=0.2, run_seed=3)
-    tracked_at = None
-    for i, p in enumerate(flow_stream(key, range(1, 201))):
-        det.observe(p)
-        if tracked_at is None and key.to_bytes() in det.tracked:
-            tracked_at = i + 1
+    det.observe_trace(Trace.from_records(flow_stream(key, range(1, 201), gap_ns=1000)),
+                      chunk=1)
+    # a lone flow is never dropped once tracked, and it is tracked since the
+    # timestamp of the packet that got it admitted, the i-th at (i - 1) us
+    flow = det.tracked.get(key.to_bytes())
+    tracked_at = None if flow is None else flow.since_ts // 1000 + 1
     assert tracked_at is not None
     assert tracked_at <= max(1, int(0.1 * det.table.total_l1))
 
@@ -97,13 +98,12 @@ def test_elephant_tracked_by_half_threshold():
 def test_tracking_discontinued_when_estimate_sinks():
     heavy = make_key(0)
     det = RetransmitDetector(buckets=1 << 12, rows=5, epsilon=0.05, run_seed=4)
-    for p in flow_stream(heavy, range(1, 51)):
-        det.observe(p)
+    det.observe_trace(Trace.from_records(flow_stream(heavy, range(1, 51))), chunk=1)
     assert heavy.to_bytes() in det.tracked
     # bury it: tail traffic dilutes the flow below eps/4 of the total,
     # and the periodic sweep notices even though the flow went silent
-    for i in range(8000):
-        det.observe(data_packet(make_key(i + 1), 1, 100_000 + i))
+    det.observe_trace(Trace.from_records(
+        [data_packet(make_key(i + 1), 1, 100_000 + i) for i in range(8000)]), chunk=1)
     assert heavy.to_bytes() not in det.tracked
 
 
@@ -146,8 +146,7 @@ def test_capacity_evicts_weakest(rng):
     for i in range(8):
         packets += flow_stream(make_key(i), range(1, 40), start_ts=i)
     packets.sort(key=lambda p: p.ts)
-    for p in packets:
-        det.observe(p)
+    det.observe_trace(Trace.from_records(packets), chunk=1)
     assert len(det.tracked) <= 5
 
 
@@ -160,7 +159,9 @@ def test_batch_matches_scalar_semantics():
     trace = Trace.from_records(packets)
     d1 = RetransmitDetector(buckets=512, rows=5, epsilon=0.02, run_seed=8)
     d1.observe_trace(trace, chunk=64)
-    d2 = stream_detector(packets, epsilon=0.02, run_seed=8)
+    d2 = RetransmitDetector(buckets=512, rows=5, epsilon=0.02, run_seed=8)
+    for p in packets:
+        d2.observe_trace(Trace.from_records([p]), chunk=1)
     assert set(d1.tracked) == set(d2.tracked)
     for key in d1.tracked:
         assert abs(d1.tracked[key].ratio() - d2.tracked[key].ratio()) < 0.25
@@ -188,7 +189,7 @@ def test_timestamps_going_back_are_rejected():
     det.observe_trace(trace.select(np.arange(200, 400)))
     assert (det.skipped, det.table.total_l1) == (40, 160)
     rejected(det.observe_trace, trace.select(np.arange(200)))
-    rejected(det.observe, records[1])
+    rejected(det.observe_trace, Trace.from_records([records[1]]))
 
 
 def _check_bit_length(values):

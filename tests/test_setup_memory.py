@@ -88,7 +88,7 @@ def test_victim_oracle_gathers_the_victim_rows_once(base):
     ts[sampled] += np.uint64(REORDER_DELAY_NS)
     victims = victim_idx >= 0
     assert victims.mean() > 0.3
-    _, peak = traced_peak(_victim_ooo, base, ts, victims, 3_000_000)
+    _, peak = traced_peak(_victim_ooo, base, ts, victims)
     assert peak < VICTIM_ORACLE_BOUND * base.arr.nbytes, peak / base.arr.nbytes
 
 
