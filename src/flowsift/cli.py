@@ -180,6 +180,8 @@ def _cmd_inject(args) -> int:
                          victims=args.victims, pool=args.pool, seed=args.seed)
     try:
         out, manifest = INJECTORS[args.kind](trace, plan)
+    except DataError:
+        raise
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     write_trace(out, args.out)

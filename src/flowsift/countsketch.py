@@ -11,6 +11,15 @@ stream.
 Every operation runs over a batch of prefolded keys; the per-key
 ``update`` and ``estimate`` are batches of one.
 
+The estimate contract (the ε·ℓ2 bound): with B = 9/ε² buckets per row
+(``epsilon`` reads ε back from B) and pairwise-independent hashes, one
+row's sign-corrected counter estimates a key's net count f_x without
+bias and with variance at most ‖f‖₂²/B, where ‖f‖₂ is the ℓ2 norm of
+every key's net count, so by Chebyshev it misses f_x by more than
+ε·‖f‖₂ with probability at most 1/9. The median of R rows misses only
+when at least ⌈R/2⌉ rows do: probability at most 3.4% at R = 3, 1.2% at
+R = 5 and 0.4% at R = 7. Signed (turnstile) updates keep the bound.
+
 Counters are 64-bit even though the hardware analog used 32-bit ones:
 timestamp sums overflow 32 bits immediately. Memory budgets elsewhere
 do their arithmetic in emulated 32-bit counter units.

@@ -28,7 +28,7 @@ from .ooo import STAGES, OooDetector
 from .oracle import top_keys
 from .reporter import CandidateLog
 from .retransmit import RetransmitDetector
-from .traceio import Trace
+from .traceio import DataError, Trace
 
 DETECTORS = {"latency": LatencyDetector, "loss": LossDetector,
              "ooo": OooDetector, "retransmit": RetransmitDetector}
@@ -37,10 +37,6 @@ DEFAULT_BUDGETS_KB = (40, 80, 160, 320)
 
 class ConfigError(ValueError):
     """Bad experiment configuration (CLI exit code 2)."""
-
-
-class DataError(ValueError):
-    """Inconsistent trace/manifest data (CLI exit code 3)."""
 
 
 @dataclass(frozen=True)

@@ -8,14 +8,21 @@ Injected latency is drawn once per flow, so a victim's delay is constant
 across its packets. Victim selection makes no whole-trace key-byte copy
 or float draw: the ranking and the victim index gather only the key
 bytes of the rows they group or match, and the sampling draws its
-uniforms ``DRAW_BLOCK`` records at a time. An injector that moves or
-adds records builds only the new timestamp column (and the index of the
-rows it copies), orders it with ``traceio.time_order``, the order
-``Trace.time_sorted`` uses, and gathers its output from its input with
-one ``np.take`` (``_placement``, then ``_gathered``): no whole copy of
-the input is made besides the output, and the victim index and the new
-timestamp column are dropped before the gather. The reorder injector reads
-each victim's true out-of-order weight from ``oracle_ooo`` run on the
+uniforms ``DRAW_BLOCK`` records at a time.
+
+An injector that moves or adds records merges them into its input
+(``_merged``), which must be in ``traceio.time_order``, the order
+``Trace.time_sorted`` gives; an input out of that order is a DataError.
+The records the input keeps stay in their order, so only the placed
+ones (the moved rows, or the added copies) are sorted, by ``time_order``
+on their own. Each goes in after the kept records that precede it: a
+``searchsorted`` of its new timestamp among the input's, and, where
+kept records share that timestamp, one lexsort of the tied records by
+the time-order columns and row. The output is gathered from the input
+``MERGE_BLOCK`` records at a time, so besides the output a merge holds
+only columns of the placed rows, the input's timestamps and one block;
+no whole-trace sort or index is made. The reorder injector reads each
+victim's true out-of-order weight from ``oracle_ooo`` run on the
 victims' rows alone: the oracle is per flow, and those rows, time-sorted
 on their own, keep their order in the output trace.
 """
@@ -28,11 +35,12 @@ import numpy as np
 
 from .oracle import flow_groups, oracle_ooo
 from .packets import KEY_BYTES, FlowKey, PacketType
-from .traceio import KEY_VOID, Trace, time_order
+from .traceio import KEY_VOID, TIME_KEYS, Trace, time_order, time_sorted_stamps
 
 REORDER_DELAY_NS = 5_000_000
 DUPLICATE_JITTER_NS = 1_000_000
 DRAW_BLOCK = 1 << 16     # records per uniform draw of the victim sampling
+MERGE_BLOCK = 1 << 16    # output records per gather of a merge
 
 
 @dataclass(frozen=True)
@@ -120,44 +128,71 @@ def _manifest(plan: InjectionPlan, trace: Trace, victims: list[bytes],
     }
 
 
-def _placement(trace: Trace, ts: np.ndarray, moved: np.ndarray,
-               copies: "np.ndarray | None" = None
-               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Where the output's records come from, when it holds the input's
-    records, then copies of its rows ``copies``, at the timestamps ``ts``
-    (one per record, the copies last), in ``time_order``.
+def _merged(trace: Trace, rows: np.ndarray, stamps: np.ndarray,
+            copied: bool = False) -> Trace:
+    """The time-ordered input with its records at ``rows`` (ascending)
+    placed at the timestamps ``stamps``, the output in ``time_order``: each
+    record is moved there, or, when ``copied``, a copy of it is added there
+    and ties after every input record.
 
-    Returns (source, patch, stamps): each output record's input row, the
-    output positions of the records that ``moved`` marks, and their new
-    timestamps. Only the new timestamp column is built: ``time_order``
-    fetches the few tied records from the input.
+    The records the input keeps stay in their order, and only the placed
+    ones are sorted, by ``time_order`` on their own. A placed record goes
+    after the placed ones before it and after the kept records before it:
+    those at an earlier timestamp (a ``searchsorted`` of its stamp in the
+    input's timestamps, less the moved rows before that point), and those
+    at its own timestamp that precede it by (src, dst, sport, dport, ptype,
+    seq, row), from one lexsort of the tied records. The output is gathered
+    ``MERGE_BLOCK`` records at a time. Raises DataError when the input is
+    not in time order.
     """
     a, n = trace.arr, len(trace)
+    ts = time_sorted_stamps(trace)
 
-    def to_input(index: np.ndarray) -> np.ndarray:
-        """Point each copy's index at the row it copies, in place."""
-        if copies is not None:
-            tail = np.flatnonzero(index >= n)
-            index[tail] = copies[index[tail] - n]
-        return index
+    def rows_at(sub: np.ndarray) -> np.ndarray:
+        picked = np.take(a, rows[sub])
+        picked["ts"] = stamps[sub]
+        return picked
 
-    def rows_at(index: np.ndarray) -> np.ndarray:
-        rows = np.take(a, to_input(index.copy()))
-        rows["ts"] = ts[index]
-        return rows
+    order = time_order(stamps, rows_at)
+    placed, new_ts = rows[order], stamps[order]
+    gone = rows[:0] if copied else rows            # input rows that move, ascending
+    dest, high = np.searchsorted(ts, new_ts, "left"), np.searchsorted(ts, new_ts, "right")
+    del ts
 
-    order = time_order(ts, rows_at)
-    patch = np.flatnonzero(moved[order])
-    stamps = ts[order[patch]]
-    return to_input(order), patch, stamps
+    # the kept records at each tied stamp, and the placed ones there, in time order
+    tied = np.flatnonzero(high > dest)
+    stamp = tied[np.unique(dest[tied], return_index=True)[1]]     # each tied stamp once
+    span = high[stamp] - dest[stamp]
+    del high
+    kept = np.repeat(dest[stamp] - np.cumsum(span) + span, span) + np.arange(span.sum())
+    kept = kept[~np.isin(kept, gone)]
+    records = np.concatenate([np.take(a, kept), rows_at(order[tied])])
+    rank = order[tied] + n if copied else placed[tied]     # the row each one ties as
+    del order, rows_at, stamps      # only the sorted columns are kept for the output
+    tie_order = np.lexsort([np.r_[kept, rank], *(records[c] for c in TIME_KEYS)])
+    is_kept = tie_order < len(kept)
+    kept_before = np.cumsum(is_kept) - is_kept
+    tie_ts = records["ts"][tie_order]
+    at = np.flatnonzero(~is_kept)
+    at_stamp = kept_before[at] - kept_before[np.searchsorted(tie_ts, tie_ts[at], "left")]
 
-
-def _gathered(trace: Trace, source: np.ndarray, patch: np.ndarray,
-              stamps: np.ndarray) -> Trace:
-    """The output of a ``_placement``: one ``np.take`` of the input's rows
-    ``source``, the moved records restamped."""
-    out = np.take(trace.arr, source)
-    out["ts"][patch] = stamps
+    dest -= np.searchsorted(gone, dest)            # kept records at earlier stamps
+    dest[tied[tie_order[at] - len(kept)]] += at_stamp
+    dest += np.arange(len(dest))                   # the placed records' output rows
+    out = np.empty(n + len(rows) if copied else n, dtype=a.dtype)
+    gap = gone - np.arange(len(gone))              # kept records before each moved row
+    for lo in range(0, len(out), MERGE_BLOCK):
+        hi = min(lo + MERGE_BLOCK, len(out))
+        pa, pb = np.searchsorted(dest, [lo, hi])
+        # the block's kept records, ranked lo - pa to hi - pb: the input rows
+        # from the first one's row to the next one's, less the moved rows
+        ranks = np.array([lo - pa, hi - pb])
+        start, stop = ranks + np.searchsorted(gap, ranks, side="right")
+        ga, gb = np.searchsorted(gone, [start, stop])
+        source = np.delete(np.arange(start, stop), gone[ga:gb] - start)
+        source = np.insert(source, dest[pa:pb] - lo - np.arange(pb - pa), placed[pa:pb])
+        np.take(a, source, out=out[lo:hi], mode="clip")    # "raise" would buffer it
+    out["ts"][dest] = new_ts
     return Trace(out)
 
 
@@ -176,14 +211,11 @@ def inject_latency(trace: Trace, plan: InjectionPlan) -> tuple[Trace, dict]:
     victim_idx = _victim_index(
         trace, [FlowKey.from_bytes(v).reversed().to_bytes() for v in victims])
     is_resp = np.isin(trace.ptype, [int(PacketType.ACK), int(PacketType.SYNACK)])
-    shift = (victim_idx >= 0) & is_resp
-    ts = trace.ts.copy()
-    ts[shift] += delays[victim_idx[shift]].astype(np.uint64)
-    shifted_counts = np.bincount(victim_idx[shift], minlength=len(victims))
-    del victim_idx
-    placement = _placement(trace, ts, shift)
-    del ts
-    out = _gathered(trace, *placement)
+    rows = np.flatnonzero((victim_idx >= 0) & is_resp)
+    shifted = victim_idx[rows]
+    del victim_idx, is_resp
+    shifted_counts = np.bincount(shifted, minlength=len(victims))
+    out = _merged(trace, rows, trace.ts[rows] + delays[shifted].astype(np.uint64))
     true_values = delays * shifted_counts   # added round-trip ns per victim
     return out, _manifest(plan, out, victims, delays, true_values)
 
@@ -218,24 +250,25 @@ def inject_loss(trace: Trace, plan: InjectionPlan) -> tuple[Trace, dict]:
 def inject_reorder(trace: Trace, plan: InjectionPlan) -> tuple[Trace, dict]:
     """Delay sampled victim DATA packets by 5 ms to break packet order."""
     victims, victim_idx, sampled = _sample_victim_data(trace, plan)
-    ts = trace.ts.copy()
-    ts[sampled] += np.uint64(REORDER_DELAY_NS)
-    weights = _victim_ooo(trace, ts, victim_idx >= 0)
+    is_victim = victim_idx >= 0
     del victim_idx
-    placement = _placement(trace, ts, sampled)
-    del ts
-    out = _gathered(trace, *placement)
+    weights = _victim_ooo(trace, is_victim, sampled)
+    del is_victim
+    rows = np.flatnonzero(sampled)
+    out = _merged(trace, rows, trace.ts[rows] + np.uint64(REORDER_DELAY_NS))
     return out, _manifest(plan, out, victims, [plan.magnitude] * len(victims),
                           [weights.get(v, 0) for v in victims])
 
 
-def _victim_ooo(trace: Trace, ts: np.ndarray, rows: np.ndarray) -> dict:
-    """``oracle_ooo`` of the victims' rows alone, restamped with ``ts``: the
-    oracle is per flow, and those rows, time-sorted on their own, keep
-    their order in the output trace. The restamped timestamps are put in
+def _victim_ooo(trace: Trace, rows: np.ndarray, delayed: np.ndarray) -> dict:
+    """``oracle_ooo`` of the victims' rows (the mask ``rows``) alone, the
+    ``delayed`` ones restamped: the oracle is per flow, and those rows,
+    time-sorted on their own, keep their order in the output trace. Only
+    the victims' new timestamps are built, and they are put in
     ``time_order`` first, so the rows are gathered once, already sorted."""
     index = np.flatnonzero(rows)
-    stamps = ts[index]
+    stamps = trace.ts[index]
+    stamps[delayed[index]] += np.uint64(REORDER_DELAY_NS)
 
     def rows_at(sub: np.ndarray) -> np.ndarray:
         tied = np.take(trace.arr, index[sub])
@@ -255,12 +288,8 @@ def inject_duplicate(trace: Trace, plan: InjectionPlan) -> tuple[Trace, dict]:
     copied = np.bincount(victim_idx[sampled], minlength=len(victims))
     del victim_idx
     copies = np.flatnonzero(sampled)
-    ts = np.concatenate([trace.ts, trace.ts[copies] + np.uint64(DUPLICATE_JITTER_NS)])
-    moved = np.zeros(len(ts), dtype=bool)
-    moved[len(trace):] = True
-    placement = _placement(trace, ts, moved, copies)
-    del ts
-    out = _gathered(trace, *placement)
+    out = _merged(trace, copies, trace.ts[copies] + np.uint64(DUPLICATE_JITTER_NS),
+                  copied=True)
     return out, _manifest(plan, out, victims, [plan.magnitude] * len(victims), copied)
 
 

@@ -197,16 +197,22 @@ class RetransmitDetector(SketchDetector):
 
     def observe_batch(self, trace: Trace) -> SketchInput:
         """The trace's sketch input: every DATA record's key, fold and count
-        of one, each a trigger. Checks the DATA time order (see ``observe_trace``)
-        before it books the skipped records and the latest DATA timestamp."""
+        of one, each a trigger (see ``_data_input``)."""
+        return self._data_input(trace)[0]
+
+    def _data_input(self, trace: Trace) -> tuple[SketchInput, Trace]:
+        """The trace's sketch input and its DATA records, gathered once.
+        Checks the DATA time order (see ``observe_trace``) before it books
+        the skipped records and the latest DATA timestamp."""
         rows = np.flatnonzero(trace.ptype == int(PacketType.DATA))
-        stamps = trace.ts[rows]
-        check_time_order(stamps, self._last_ts, "retransmission detection")
+        data = trace.select(rows)
+        check_time_order(data.ts, self._last_ts, "retransmission detection")
         self.skipped += len(trace) - len(rows)
-        self._last_ts = int(stamps.max(initial=self._last_ts))
-        keys = trace.key_matrix(rows)
-        return SketchInput(rows, keys, hashing.fold64_matrix(keys),
-                           np.ones(len(rows), dtype=np.int64), np.ones(len(rows), dtype=bool))
+        self._last_ts = int(data.ts.max(initial=self._last_ts))
+        keys = data.key_matrix()
+        fed = SketchInput(rows, keys, hashing.fold64_matrix(keys),
+                          np.ones(len(rows), dtype=np.int64), np.ones(len(rows), dtype=bool))
+        return fed, data
 
     def observe_trace(self, trace: Trace, chunk: int = 4096) -> None:
         """Chunked streaming over a time-sorted trace: sketch updates are
@@ -219,10 +225,10 @@ class RetransmitDetector(SketchDetector):
         tracked flows. Raises ValueError when a DATA timestamp is earlier
         than the one before it, in this trace or an earlier one.
         """
-        fed = self.observe_batch(trace)
+        fed, data = self._data_input(trace)
         n = len(fed.rows)
         key_blob = fed.keys.tobytes()
-        seqs = trace.seq[fed.rows].astype(np.uint64)
+        seqs = data.seq
         for _, entries, starts, estimates in self.chunks(fed, [*range(0, n, chunk), n]):
             uniq = fed.folds[entries[starts]]
             admit_thr = self.epsilon / 2.0 * self.table.total_l1
@@ -241,7 +247,7 @@ class RetransmitDetector(SketchDetector):
                 key = key_blob[i * KEY_BYTES:(i + 1) * KEY_BYTES]
                 flow = self.tracked.get(key)
                 if flow is None and ests[u] >= admit_thr:
-                    self._admit(key, ests[u], int(trace.ts[fed.rows[i]]))
+                    self._admit(key, ests[u], int(data.ts[i]))
                     flow = self.tracked.get(key)
                 if flow is not None:
                     flow.add_batch(ordered_seqs[bounds[u]:bounds[u + 1]])

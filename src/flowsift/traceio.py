@@ -40,7 +40,11 @@ _REVERSED_KEY = np.r_[4:8, 0:4, 10:12, 8:10, 12]
 _FORWARD_PAIR = np.r_[0:KEY_BYTES, _REVERSED_KEY]
 _BACKWARD_PAIR = np.r_[_REVERSED_KEY, 0:KEY_BYTES]
 # time_order's columns as np.lexsort takes them, the primary one last
-_TIME_ORDER = ("seq", "ptype", "dport", "sport", "dst", "src", "ts")
+TIME_KEYS = ("seq", "ptype", "dport", "sport", "dst", "src", "ts")
+
+
+class DataError(ValueError):
+    """Inconsistent trace/manifest data (CLI exit code 3)."""
 
 
 class Trace:
@@ -255,8 +259,25 @@ def time_order(ts: np.ndarray, rows_at) -> np.ndarray:
     at = np.flatnonzero(np.r_[same, False] | np.r_[False, same])
     tied = order[at]
     rows = rows_at(tied)
-    order[at] = tied[np.lexsort([rows[c] for c in _TIME_ORDER])]
+    order[at] = tied[np.lexsort([rows[c] for c in TIME_KEYS])]
     return order
+
+
+def time_sorted_stamps(trace: Trace) -> np.ndarray:
+    """The timestamp column of a trace in ``time_order``, as a contiguous
+    copy. Raises DataError when the trace is not in that order: a timestamp
+    decreases, or neighbours that share one are not in column order."""
+    ts = np.ascontiguousarray(trace.ts)
+    tied = np.flatnonzero(ts[1:] == ts[:-1])
+    a, b = np.take(trace.arr, tied), np.take(trace.arr, tied + 1)
+    after, same = np.zeros(len(tied), dtype=bool), np.ones(len(tied), dtype=bool)
+    for column in reversed(TIME_KEYS[:-1]):     # src first, seq last
+        after |= same & (a[column] > b[column])
+        same &= a[column] == b[column]
+    if after.any() or (ts[1:] < ts[:-1]).any():
+        raise DataError("records are not in time order (ts, then src, dst, sport, "
+                        "dport, ptype, seq)")
+    return ts
 
 
 def check_time_order(stamps: np.ndarray, last: int, needed_by: str) -> None:

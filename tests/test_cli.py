@@ -253,6 +253,21 @@ def test_unsorted_trace_is_data_error_for_retransmit(workspace, tmp_path):
     assert run_cli("--trace", shuffled, "run", "--detector", "retransmit") == 3
 
 
+@pytest.mark.parametrize("kind,magnitude", [
+    ("latency", ["--delay-ms", 40]), ("reorder", ["--rate", 0.2]),
+    ("duplicate", ["--rate", 0.2])])
+def test_unsorted_trace_is_data_error_for_moving_injectors(workspace, tmp_path, kind,
+                                                           magnitude):
+    _, trace = workspace
+    shuffled = tmp_path / "shuffled.lmt"
+    records = load_trace(trace)
+    write_trace(records.select(np.random.default_rng(0).permutation(len(records))),
+                shuffled)
+    assert run_cli("--trace", shuffled, "--manifest", tmp_path / "x.json", "inject",
+                   "--kind", kind, "--out", tmp_path / "x.lmt", *magnitude,
+                   "--victims", 10, "--pool", 50) == 3
+
+
 def test_unknown_snapshot_family_is_data_error(workspace, tmp_path):
     root, trace = workspace
     snapshot, candidates = tmp_path / "snap.bin", tmp_path / "cand.csv"

@@ -1,12 +1,17 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from flowsift import inject
 from flowsift.inject import (InjectionPlan, inject_duplicate, inject_latency,
                              inject_loss, inject_reorder, rank_flows,
                              select_victims)
 from flowsift.oracle import oracle_loss, oracle_ooo, oracle_rtt
-from flowsift.packets import TypeFilter
+from flowsift.packets import PacketType, TypeFilter
 from flowsift.synth import SynthConfig, synthesize
+from flowsift.traceio import RECORD_DTYPE, DataError, Trace, time_order
 
 
 @pytest.fixture(scope="module")
@@ -168,3 +173,114 @@ def test_injectors_preserve_non_victim_records(base_trace):
     # every untouched record appears unchanged in the output
     out_set = {out.arr[i].tobytes() for i in range(len(out))}
     assert all(original[i].tobytes() in out_set for i in range(0, len(original), 37))
+
+
+# -- the merge step against the whole-trace sort it replaced -----------------
+
+def _placement(trace, ts, moved, copies=None):
+    """The whole-trace placement the merge replaced, kept as its reference:
+    (each output record's input row, the output positions of the records
+    ``moved`` marks, their new timestamps) when the output holds the
+    input's records, then copies of its rows ``copies``, at ``ts``."""
+    a, n = trace.arr, len(trace)
+
+    def to_input(index):
+        if copies is not None:
+            tail = np.flatnonzero(index >= n)
+            index[tail] = copies[index[tail] - n]
+        return index
+
+    def rows_at(index):
+        rows = np.take(a, to_input(index.copy()))
+        rows["ts"] = ts[index]
+        return rows
+
+    order = time_order(ts, rows_at)
+    patch = np.flatnonzero(moved[order])
+    stamps = ts[order[patch]]
+    return to_input(order), patch, stamps
+
+
+def _gathered(trace, source, patch, stamps):
+    out = np.take(trace.arr, source)
+    out["ts"][patch] = stamps
+    return Trace(out)
+
+
+def reference_merge(trace, rows, stamps, copied):
+    n = len(trace)
+    if copied:
+        moved = np.r_[np.zeros(n, dtype=bool), np.ones(len(rows), dtype=bool)]
+        return _gathered(trace, *_placement(trace, np.r_[trace.ts, stamps], moved, rows))
+    ts = trace.ts.copy()
+    ts[rows] = stamps
+    moved = np.zeros(n, dtype=bool)
+    moved[rows] = True
+    return _gathered(trace, *_placement(trace, ts, moved))
+
+
+# (ts, src, dst, sport, ptype, seq, ack) over narrow ranges, so that records
+# tie on the timestamp and on every time-order column; ack tells full ties apart
+record_st = st.tuples(st.integers(0, 3), st.integers(0, 1), st.integers(0, 1),
+                      st.integers(0, 1), st.sampled_from([int(PacketType.DATA),
+                                                          int(PacketType.ACK)]),
+                      st.integers(0, 2), st.integers(0, 1 << 16))
+
+
+def time_ordered(records) -> Trace:
+    arr = np.zeros(len(records), dtype=RECORD_DTYPE)
+    for i, column in enumerate(("ts", "src", "dst", "sport", "ptype", "seq", "ack")):
+        arr[column] = [r[i] for r in records]
+    return Trace(arr).time_sorted()
+
+
+@st.composite
+def merge_cases(draw):
+    """(records, placed mask, new stamps, copied, merge block)."""
+    records = draw(st.lists(record_st, max_size=24))
+    n = len(records)
+    placed = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    stamps = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
+    return records, placed, stamps, draw(st.booleans()), draw(st.integers(1, 8))
+
+
+FULL_TIE = [(2, 1, 1, 1, int(PacketType.DATA), 1, ack) for ack in range(6)]
+SPREAD = [(t % 4, t % 2, 0, 0, int(PacketType.DATA), t % 3, t) for t in range(12)]
+
+
+@settings(derandomize=True, max_examples=300)
+@given(merge_cases())
+@example((FULL_TIE, [True] * 6, [2] * 6, False, 4))        # fully tied, every row moved
+@example((FULL_TIE, [True, False] * 3, [2] * 6, True, 4))  # copies of fully tied rows
+@example((SPREAD, [False] * 12, [0] * 12, False, 5))        # nothing placed
+@example((SPREAD, [True] * 12, [3] * 12, True, 5))          # every row copied
+@example((SPREAD, [i % 3 == 0 for i in range(12)], [1, 2, 3, 0] * 3, False, 5))
+def test_merge_equals_the_whole_trace_sort(case):
+    records, placed, stamps, copied, block = case
+    trace = time_ordered(records)
+    rows = np.flatnonzero(placed)
+    new_ts = np.asarray(stamps, dtype=np.uint64)[rows]
+    expected = reference_merge(trace, rows, new_ts, copied)
+    with mock.patch.object(inject, "MERGE_BLOCK", block):
+        merged = inject._merged(trace, rows, new_ts, copied)
+    assert merged.arr.tobytes() == expected.arr.tobytes()
+
+
+def test_merge_rejects_tied_records_out_of_column_order():
+    trace = time_ordered([(5, 0, 0, 0, int(PacketType.DATA), 1, 0),
+                          (5, 1, 0, 0, int(PacketType.DATA), 1, 0)])
+    rows = np.array([0])
+    inject._merged(trace, rows, np.array([6], dtype=np.uint64))
+    swapped = Trace(trace.arr[::-1].copy())
+    with pytest.raises(DataError, match="time order"):
+        inject._merged(swapped, rows, np.array([6], dtype=np.uint64))
+
+
+@pytest.mark.parametrize("injector,plan", [
+    (inject_latency, InjectionPlan("latency", 1_000_000, victims=10, pool=50, seed=18)),
+    (inject_reorder, InjectionPlan("reorder", 0.2, victims=10, pool=50, seed=18)),
+    (inject_duplicate, InjectionPlan("duplicate", 0.2, victims=10, pool=50, seed=18))])
+def test_moving_injectors_reject_unsorted_input(base_trace, injector, plan):
+    shuffled = base_trace.select(np.random.default_rng(18).permutation(len(base_trace)))
+    with pytest.raises(ValueError, match="time order"):
+        injector(shuffled, plan)

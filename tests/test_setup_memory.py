@@ -1,14 +1,17 @@
 """Set-up memory bound: each set-up step holds at most one extra trace copy.
 
 ``synthesize`` fills one record array and gathers the time-sorted trace
-from it; each injector builds a new timestamp column (or the appended
-rows) and gathers its output straight from its input. Measured with
-``tracemalloc`` on an epoch of ~10^5 records, a step's peak above its
-input must stay below the record arrays it builds plus ``SLACK`` record
-arrays of columns: timestamps, the order, victim indexes and masks take
-~0.2-0.5 of one here. A step that makes another whole-trace copy of
-records, as a concatenate-then-sort or a copy-then-restamp does, needs
-1.5-2.1 record arrays of slack here and fails.
+from it; each injector that moves or adds records sorts only those and
+merges them into its time-ordered input, gathering its output straight
+from the input one block at a time. Measured with ``tracemalloc`` on an
+epoch of ~10^5 records, a step's peak above its input must stay below
+the record arrays it builds plus ``SLACK`` record arrays of columns:
+timestamps, victim indexes, masks and the placed rows' columns take
+~0.2-0.7 of one here (0.7 for latency, which moves a third of the
+records). A step that makes another whole-trace copy of records, as a
+concatenate-then-sort or a copy-then-restamp does, needs 1.5-2.1 record
+arrays of slack here and fails. No injector orders as many values as
+its input has records: the merge replaced a sort of the whole trace.
 
 Victim sampling reads key bytes only for the rows it needs and draws its
 uniforms ``DRAW_BLOCK`` records at a time: no injector asks for a whole
@@ -18,10 +21,10 @@ record took it to 0.84), and the block draws give the one-shot stream on
 an epoch longer than one block.
 
 The reorder injector's oracle over the victims' rows (a third of the
-records here) orders their restamped timestamps first and gathers the
-rows once, already sorted: it stays under ``VICTIM_ORACLE_BOUND`` record
-arrays, where a gather followed by ``time_sorted``'s second gather took
-1.19.
+records here) builds only their restamped timestamps, orders them first
+and gathers the rows once, already sorted: it stays under
+``VICTIM_ORACLE_BOUND`` record arrays, where a gather followed by
+``time_sorted``'s second gather took 1.19.
 """
 
 import tracemalloc
@@ -29,7 +32,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from flowsift.inject import (DRAW_BLOCK, INJECTORS, REORDER_DELAY_NS, InjectionPlan,
+from flowsift import inject, traceio
+from flowsift.inject import (DRAW_BLOCK, INJECTORS, InjectionPlan,
                              _sample_victim_data, _victim_ooo)
 from flowsift.packets import PacketType
 from flowsift.synth import SynthConfig, synthesize
@@ -84,11 +88,9 @@ def test_victim_sampling_stays_under_its_bound(base):
 
 def test_victim_oracle_gathers_the_victim_rows_once(base):
     _, victim_idx, sampled = _sample_victim_data(base, plan_of("reorder"))
-    ts = base.ts.copy()
-    ts[sampled] += np.uint64(REORDER_DELAY_NS)
     victims = victim_idx >= 0
     assert victims.mean() > 0.3
-    _, peak = traced_peak(_victim_ooo, base, ts, victims)
+    _, peak = traced_peak(_victim_ooo, base, victims, sampled)
     assert peak < VICTIM_ORACLE_BOUND * base.arr.nbytes, peak / base.arr.nbytes
 
 
@@ -115,3 +117,20 @@ def test_injector_copies_no_whole_key_matrix(base, kind, monkeypatch):
     INJECTORS[kind](base, plan_of(kind))
     assert rows, "victim selection reads key bytes through key_matrix"
     assert [r for r in rows if r >= len(base)] == []
+
+
+@pytest.mark.parametrize("kind", sorted(INJECTORS))
+def test_injector_sorts_no_whole_trace(base, kind, monkeypatch):
+    sizes = []
+
+    def counted(sort):
+        def call(values, *args):
+            sizes.append(len(values))
+            return sort(values, *args)
+        return call
+
+    monkeypatch.setattr(traceio, "stable_order", counted(traceio.stable_order))
+    monkeypatch.setattr(inject, "time_order", counted(inject.time_order))
+    INJECTORS[kind](base, plan_of(kind))
+    assert sizes or kind == "loss", "a moving injector orders its placed rows"
+    assert [s for s in sizes if s >= len(base)] == []
