@@ -268,5 +268,8 @@ class RetransmitDetector(SketchDetector):
         return None, None       # no controller re-rank: the report is final
 
     def memory_bytes(self) -> int:
+        """The sketch, each tracked flow's key, fold, count and registers,
+        and the ids tracked flows buffer until ``report()`` flushes them."""
         per_flow = 13 + 8 + 8 + self.registers * self.instances
-        return super().memory_bytes() + len(self.tracked) * per_flow
+        buffered = sum(ids.nbytes for flow in self.tracked.values() for ids in flow._pending)
+        return super().memory_bytes() + len(self.tracked) * per_flow + buffered

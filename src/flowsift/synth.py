@@ -3,9 +3,10 @@
 Produces Zipf-sized bidirectional flows over one epoch: each flow gets
 a SYN/SYNACK handshake plus DATA packets with per-flow sequence ids
 1..n and an ACK per DATA delayed by the flow's base round-trip time.
-Identical config and seed give a byte-identical trace. The records of
-all four packet types are written into one preallocated record array,
-which ``Trace.time_sorted`` gathers into the trace.
+Identical config and seed give a byte-identical trace. Synthesis holds
+one record array, the trace itself: the records of all four packet types
+are ordered by their timestamp columns first and then written straight
+to their rows, a block at a time.
 
 Data-packet counts are rounded up to even by default so every complete
 flow finishes its final id pair; odd tails are covered by unit fixtures
@@ -21,10 +22,19 @@ from pathlib import Path
 import numpy as np
 
 from .packets import PacketType
-from .traceio import RECORD_DTYPE, Trace, stable_order, write_trace
+from .traceio import RECORD_DTYPE, Trace, stable_order, time_order, write_trace
 
 ACK_SIZE = 40
 HANDSHAKE_SIZE = 60
+FILL_BLOCK = 1 << 12     # records built and put into the trace at once
+KEY_COLUMNS = ("src", "dst", "sport", "dport")
+REVERSED_KEY = ("dst", "src", "dport", "sport")     # the same endpoints, other side
+# The trace's parts in input order: packet type, sent by the receiver, one
+# record per DATA packet (else per flow), and fixed size (None: drawn).
+PARTS = ((PacketType.DATA, False, True, None),
+         (PacketType.ACK, True, True, ACK_SIZE),
+         (PacketType.SYN, False, False, HANDSHAKE_SIZE),
+         (PacketType.SYNACK, True, False, HANDSHAKE_SIZE))
 
 
 @dataclass(frozen=True)
@@ -75,60 +85,84 @@ def _flow_keys(rng: np.random.Generator, flows: int) -> dict[str, np.ndarray]:
             return cols
 
 
-def _reversed(ends: dict) -> dict:
-    """The same endpoint columns seen from the other side."""
-    return {"src": ends["dst"], "dst": ends["src"],
-            "sport": ends["dport"], "dport": ends["sport"]}
-
-
-def _fill(rows: np.ndarray, ptype: PacketType, ends: dict, **cols) -> None:
-    """Write TCP records of one packet type into a slice of the trace."""
-    rows["proto"], rows["ptype"] = 6, int(ptype)
-    for name, value in {**ends, **cols}.items():
-        rows[name] = value
-
-
 def synthesize(cfg: SynthConfig) -> tuple[Trace, dict]:
     """Build the epoch trace and its manifest.
 
-    The DATA, ACK, SYN and SYNACK records fill consecutive slices of one
-    record array, and ``Trace.time_sorted`` gathers the trace from it: at
-    most two record arrays are alive at once, the filled one and the trace.
+    The trace is the DATA, ACK, SYN and SYNACK records, in that order, put
+    in ``time_order``, and it is written once, already ordered. The
+    records' timestamps are ordered first, building only the records that
+    tie on one; then the records are built ``FILL_BLOCK`` at a time and
+    each block is put at its output rows. Besides the trace, synthesis
+    holds only columns: one record array in all.
     """
     cfg.validate()
     rng = np.random.default_rng(cfg.seed)
     keys = _flow_keys(rng, cfg.flows)
     sizes = zipf_sizes(cfg.flows, cfg.packets, cfg.zipf_s, cfg.even_flow_sizes)
-    n = int(sizes.sum())
-    flow_of = np.repeat(np.arange(cfg.flows), sizes)
+    n, f = int(sizes.sum()), cfg.flows
+    flow_of = np.repeat(np.arange(f), sizes)
+    starts = np.zeros(f, dtype=np.int64)
+    starts[1:] = np.cumsum(sizes)[:-1]
+    # the first row of each part: DATA, and when bidirectional ACK, SYN, SYNACK
+    first = np.array([0, n, 2 * n, 2 * n + f] if cfg.bidirectional else [0])
+    stamps = np.empty(2 * (n + f) if cfg.bidirectional else n, dtype=np.int64)
 
     # data-packet timestamps: uniform over the epoch, ordered within a flow
     margin = cfg.rtt_max_ns + 1
     ts = rng.integers(0, cfg.duration_ns - margin, n, dtype=np.int64)
     by_ts = stable_order(ts)          # np.lexsort((ts, flow_of)) as two stable passes
-    ts = ts[by_ts[stable_order(flow_of[by_ts])]]
-    del by_ts
-    starts = np.zeros(cfg.flows, dtype=np.int64)
-    starts[1:] = np.cumsum(sizes)[:-1]
-    seq = np.arange(n, dtype=np.int64) - starts[flow_of] + 1
-
-    arr = np.empty(2 * (n + cfg.flows) if cfg.bidirectional else n, dtype=RECORD_DTYPE)
-    ends = {col: keys[col][flow_of] for col in ("src", "dst", "sport", "dport")}
-    _fill(arr[:n], PacketType.DATA, ends, seq=seq, ack=0, ts=ts,
-          size=rng.integers(64, 1500, n, dtype=np.int64))
-    rtt = rng.integers(cfg.rtt_min_ns, cfg.rtt_max_ns + 1, cfg.flows, dtype=np.int64)
-
+    np.take(ts, by_ts[stable_order(flow_of[by_ts])], out=stamps[:n])
+    del ts, by_ts
+    data_size = rng.integers(64, 1500, n, dtype=np.int64).astype(np.uint32)
+    rtt = rng.integers(cfg.rtt_min_ns, cfg.rtt_max_ns + 1, f, dtype=np.int64)
     if cfg.bidirectional:
-        _fill(arr[n:2 * n], PacketType.ACK, _reversed(ends), seq=0, ack=seq,
-              ts=ts + rtt[flow_of], size=ACK_SIZE)
-        syn_ts = np.maximum(np.minimum.reduceat(ts, starts) - 1000, 0)
-        syn, synack = arr[2 * n:2 * n + cfg.flows], arr[2 * n + cfg.flows:]
-        _fill(syn, PacketType.SYN, keys, seq=1, ack=0, ts=syn_ts, size=HANDSHAKE_SIZE)
-        _fill(synack, PacketType.SYNACK, _reversed(keys), seq=0, ack=1,
-              ts=syn_ts + rtt, size=HANDSHAKE_SIZE)
-    del flow_of, ts, seq, ends
+        ack_ts = stamps[n:2 * n]
+        np.take(rtt, flow_of, out=ack_ts)
+        ack_ts += stamps[:n]
+        stamps[2 * n:2 * n + f] = np.maximum(stamps[starts] - 1000, 0)
+        stamps[2 * n + f:] = stamps[2 * n:2 * n + f] + rtt
 
-    trace = Trace(arr).time_sorted()
+    def records_at(rows: np.ndarray) -> np.ndarray:
+        """The records at the ascending input rows ``rows``. The forward
+        ones (DATA, SYN) carry the packet id in ``seq`` and the reverse ones
+        (ACK, SYNACK) in ``ack``: a DATA packet's id counts 1, 2, ... in its
+        flow, an ACK's is the id of the DATA it answers, a handshake's is 1."""
+        out = np.empty(len(rows), dtype=RECORD_DTYPE)
+        out["proto"], out["ts"] = 6, stamps[rows]
+        cuts = [*np.searchsorted(rows, first).tolist(), len(rows)]
+        for (ptype, reverse, per_packet, fixed), start, lo, hi in zip(
+                PARTS, first, cuts, cuts[1:]):
+            i = rows[lo:hi] - start
+            flow = flow_of[i] if per_packet else i
+            ids = i - starts[flow] + 1 if per_packet else 1
+            cols = {"ptype": int(ptype), "seq": 0 if reverse else ids,
+                    "ack": ids if reverse else 0,
+                    "size": data_size[i] if fixed is None else fixed}
+            for name, end in zip(KEY_COLUMNS, REVERSED_KEY if reverse else KEY_COLUMNS):
+                cols[name] = keys[end][flow]
+            for name, value in cols.items():
+                out[name][lo:hi] = value
+        return out
+
+    def tied_records(rows: np.ndarray) -> np.ndarray:
+        """``records_at`` for the tied rows ``time_order`` asks for, which
+        come in timestamp order."""
+        by = np.argsort(rows)
+        records = np.empty(len(rows), dtype=RECORD_DTYPE)
+        np.put(records, by, records_at(rows[by]))
+        return records
+
+    order = time_order(stamps, tied_records)
+    pos = np.empty_like(order)                 # each input row's output row
+    pos[order] = np.arange(len(order))
+    del order
+    arr = np.empty(len(stamps), dtype=RECORD_DTYPE)
+    for lo in range(0, len(arr), FILL_BLOCK):
+        rows = np.arange(lo, min(lo + FILL_BLOCK, len(arr)))
+        np.put(arr, pos[rows], records_at(rows), mode="clip")    # "raise" buffers
+    del pos, stamps, flow_of, data_size
+
+    trace = Trace(arr)
     manifest = {
         "kind": "synth",
         "seed": cfg.seed,

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowsift.loss import LossDetector, loss_count_estimate
 from flowsift.packets import PacketRecord, PacketType
@@ -49,6 +51,35 @@ def test_random_removal_walk_matches_expectation():
         walks.append(abs(single_flow_estimate(keep, seed=seed)))
     med = float(np.median(walks))
     assert target * 0.75 <= med <= target * 1.25
+
+
+def simple_walk_moments(steps: int) -> tuple[float, float]:
+    """E|S| and Var|S| of a simple random walk S of ``steps`` +/-1 steps,
+    exact from the binomial law of its up-steps."""
+    mean = sum(math.comb(steps, up) * abs(2 * up - steps)
+               for up in range(steps + 1)) / 2 ** steps
+    return mean, steps - mean * mean       # E[S^2] = steps
+
+
+WALK_SEEDS = 200
+
+
+@settings(derandomize=True, max_examples=30)
+@given(length=st.integers(2, 400), data=st.data())
+def test_walk_magnitude_matches_simple_random_walk(length, data):
+    # loss.py: each pair with one member missing is one +/-1 step of the
+    # walk, so over hash seeds the mean |walk| is E|S_m| of a simple random
+    # walk of those m steps (~sqrt(2m/pi) for large m)
+    lost = data.draw(st.integers(1, length - 1), label="lost")
+    removal_seed = data.draw(st.integers(0, 2 ** 32 - 1), label="removal_seed")
+    ids = np.arange(1, length + 1)
+    kept = np.setdiff1d(ids, np.random.default_rng(removal_seed).choice(ids, lost,
+                                                                       replace=False))
+    steps = int((np.bincount((kept + 1) // 2) == 1).sum())
+    walks = [abs(single_flow_estimate(kept, seed=seed)) for seed in range(WALK_SEEDS)]
+    expected, variance = simple_walk_moments(steps)
+    # six standard errors of the mean: ~2e-9 per drawn case (normal law)
+    assert abs(np.mean(walks) - expected) <= 6 * math.sqrt(variance / WALK_SEEDS) + 1e-9
 
 
 def test_full_pair_removal_is_invisible():

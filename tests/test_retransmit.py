@@ -107,6 +107,19 @@ def test_tracking_discontinued_when_estimate_sinks():
     assert heavy.to_bytes() not in det.tracked
 
 
+def test_memory_counts_buffered_ids_until_report():
+    key = make_key(0)
+    det = stream_detector(flow_stream(key, [s for s in range(1, 201) for _ in range(3)]),
+                          epsilon=0.1, run_seed=2)
+    flow = det.tracked[key.to_bytes()]
+    buffered = det.memory_bytes()
+    det.report(3.0)          # flushes every buffered id into the registers
+    assert flow.n > 0 and not flow._pending
+    assert buffered == det.memory_bytes() + 8 * flow.n
+    assert det.memory_bytes() == (det.rows * det.buckets * 4
+                                  + 13 + 8 + 8 + det.registers * det.instances)
+
+
 def test_report_empty_without_tracked_flows():
     det = RetransmitDetector(buckets=256, rows=3, epsilon=0.5)
     assert det.report(3.0).entries == []

@@ -1,7 +1,9 @@
 """Set-up memory bound: each set-up step holds at most one extra trace copy.
 
-``synthesize`` fills one record array and gathers the time-sorted trace
-from it; each injector that moves or adds records sorts only those and
+``synthesize`` holds one record array, the trace: it orders the records
+by their timestamps first and writes each block straight to its output
+rows (filling an array and gathering the sorted trace from it read 2.2-2.6
+record arrays here); each injector that moves or adds records sorts only those and
 merges them into its time-ordered input, gathering its output straight
 from the input one block at a time. Measured with ``tracemalloc`` on an
 epoch of ~10^5 records, a step's peak above its input must stay below
@@ -68,11 +70,11 @@ def base():
     return synthesize(SYNTH)[0]
 
 
-def test_synthesize_holds_two_record_arrays(base):
+def test_synthesize_holds_one_record_array(base):
     (trace, _), peak = traced_peak(synthesize, SYNTH)
     assert trace.arr.tobytes() == base.arr.tobytes()
     record_array = trace.arr.nbytes
-    assert peak < (2 + SLACK) * record_array, peak / record_array
+    assert peak < (1 + SLACK) * record_array, peak / record_array
 
 
 @pytest.mark.parametrize("kind", sorted(RATES))

@@ -65,3 +65,22 @@ def test_manifest_matches_written_file(tmp_path):
     path = tmp_path / "t.lmt"
     manifest = synthesize_to_file(SynthConfig(flows=50, packets=600, seed=5), path)
     assert read_trace(path).sha256() == manifest["trace_sha256"]
+
+
+# The branches tests/test_setup_digests.py's epoch does not take, pinned as
+# sha256 literals: a DATA-only epoch, and odd flow sizes.
+BRANCH_PINS = [
+    (SynthConfig(flows=2_000, packets=20_000, duration_ns=10_000_000,
+                 bidirectional=False, seed=5),
+     21_456, "95149911f3a2775208766ed04d74ec3992225f0c07ee2825fc19fbee2a8af965"),
+    (SynthConfig(flows=2_000, packets=20_001, duration_ns=10_000_000,
+                 even_flow_sizes=False, seed=5),
+     44_002, "86d9fa885447fea9a77ec2da7886976a3fa67150edb51b847fc60376e6f9620c"),
+]
+
+
+@pytest.mark.parametrize("cfg,records,sha", BRANCH_PINS, ids=["data-only", "odd-sizes"])
+def test_synthesis_branches_are_pinned(cfg, records, sha):
+    trace, manifest = synthesize(cfg)
+    assert len(trace) == manifest["records"] == records
+    assert trace.sha256() == manifest["trace_sha256"] == sha
