@@ -20,6 +20,15 @@ every key's net count, so by Chebyshev it misses f_x by more than
 when at least ⌈R/2⌉ rows do: probability at most 3.4% at R = 3, 1.2% at
 R = 5 and 0.4% at R = 7. Signed (turnstile) updates keep the bound.
 
+Doubling the buckets refines every row. With the same ``run_seed``, a
+key's bucket at 2B, floor-divided by 2, is its bucket at B (the bucket
+hash scales one 32-bit value by B, and 2B/2 = B), and its signs are the
+same: each bucket splits in two, so the keys a key collides with at 2B
+are a subset of those at B, in every row. Budgets that double the
+buckets (2,000 to 16,000 at the desk points) therefore only remove
+colliders; the error bound halves its variance, but one estimate's
+error need not shrink, since the removed colliders may have cancelled.
+
 Counters are 64-bit even though the hardware analog used 32-bit ones:
 timestamp sums overflow 32 bits immediately. Memory budgets elsewhere
 do their arithmetic in emulated 32-bit counter units.

@@ -23,8 +23,8 @@ the time-order columns and row. The output is gathered from the input
 only columns of the placed rows, the input's timestamps and one block;
 no whole-trace sort or index is made. The reorder injector reads each
 victim's true out-of-order weight from ``oracle_ooo`` run on the
-victims' rows alone: the oracle is per flow, and those rows, time-sorted
-on their own, keep their order in the output trace.
+victims' rows alone, placed by the same ``_merged`` that writes the
+output trace: the oracle is per flow, and those rows keep their order.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ import numpy as np
 
 from .oracle import flow_groups, oracle_ooo
 from .packets import KEY_BYTES, FlowKey, PacketType
-from .traceio import KEY_VOID, TIME_KEYS, Trace, time_order, time_sorted_stamps
+from .traceio import KEY_VOID, TIME_KEYS, Trace, run_starts, time_order, time_sorted_stamps
 
 REORDER_DELAY_NS = 5_000_000
 DUPLICATE_JITTER_NS = 1_000_000
@@ -161,7 +161,7 @@ def _merged(trace: Trace, rows: np.ndarray, stamps: np.ndarray,
 
     # the kept records at each tied stamp, and the placed ones there, in time order
     tied = np.flatnonzero(high > dest)
-    stamp = tied[np.unique(dest[tied], return_index=True)[1]]     # each tied stamp once
+    stamp = tied[run_starts(dest[tied])]          # each tied stamp once
     span = high[stamp] - dest[stamp]
     del high
     kept = np.repeat(dest[stamp] - np.cumsum(span) + span, span) + np.arange(span.sum())
@@ -262,24 +262,11 @@ def inject_reorder(trace: Trace, plan: InjectionPlan) -> tuple[Trace, dict]:
 
 def _victim_ooo(trace: Trace, rows: np.ndarray, delayed: np.ndarray) -> dict:
     """``oracle_ooo`` of the victims' rows (the mask ``rows``) alone, the
-    ``delayed`` ones restamped: the oracle is per flow, and those rows,
-    time-sorted on their own, keep their order in the output trace. Only
-    the victims' new timestamps are built, and they are put in
-    ``time_order`` first, so the rows are gathered once, already sorted."""
-    index = np.flatnonzero(rows)
-    stamps = trace.ts[index]
-    stamps[delayed[index]] += np.uint64(REORDER_DELAY_NS)
-
-    def rows_at(sub: np.ndarray) -> np.ndarray:
-        tied = np.take(trace.arr, index[sub])
-        tied["ts"] = stamps[sub]
-        return tied
-
-    order = time_order(stamps, rows_at)
-    victim = np.take(trace.arr, index[order])
-    victim["ts"] = stamps[order]
-    del index, stamps, order        # the oracle's own columns come next
-    return oracle_ooo(Trace(victim))
+    ``delayed`` ones placed ``REORDER_DELAY_NS`` later by ``_merged``, the
+    merge that writes the output trace: the oracle is per flow, and those
+    rows keep their order there."""
+    stamps = trace.ts[rows & delayed] + np.uint64(REORDER_DELAY_NS)
+    return oracle_ooo(_merged(trace.select(rows), np.flatnonzero(delayed[rows]), stamps))
 
 
 def inject_duplicate(trace: Trace, plan: InjectionPlan) -> tuple[Trace, dict]:

@@ -98,11 +98,14 @@ class DistinctEstimator:
 class TrackedFlow:
     """Per-elephant state: packets and distinct ids since tracking began.
 
-    Batched ids are buffered and flushed into the estimators lazily;
-    register updates commute (max semantics), so flush order is free.
+    Batched ids are buffered and flushed into the estimators once they
+    number at least the register count, and by ``distinct``; so fewer
+    ids than registers wait, and the buffer does not grow with the
+    stream. Register updates commute (max semantics), so flush order is
+    free.
     """
 
-    __slots__ = ("key", "fold", "n", "estimators", "since_ts", "_pending")
+    __slots__ = ("key", "fold", "n", "estimators", "since_ts", "_pending", "_buffered")
 
     def __init__(self, key: bytes, since_ts: int, *, registers: int,
                  instances: int, seed: int):
@@ -111,6 +114,7 @@ class TrackedFlow:
         self.n = 0
         self.since_ts = since_ts
         self._pending: list[np.ndarray] = []
+        self._buffered = 0          # ids in ``_pending``
         self.estimators = [
             DistinctEstimator(registers, seed=seed ^ self.fold ^ (i * hashing.GOLDEN64))
             for i in range(instances)
@@ -119,6 +123,9 @@ class TrackedFlow:
     def add_batch(self, seqs: np.ndarray) -> None:
         self.n += len(seqs)
         self._pending.append(seqs)
+        self._buffered += len(seqs)
+        if self._buffered >= self.estimators[0].m:
+            self._flush()
 
     def _flush(self) -> None:
         """Hash the buffered ids for every instance at once, then fold each
@@ -126,6 +133,7 @@ class TrackedFlow:
         if self._pending:
             seqs = np.concatenate(self._pending)
             self._pending.clear()
+            self._buffered = 0
             hashes = hashing.stack([est._hash for est in self.estimators])
             idx, rank = _register_ranks(hashes, seqs, self.estimators[0].p)
             for est, est_idx, est_rank in zip(self.estimators, idx, rank):
@@ -269,7 +277,7 @@ class RetransmitDetector(SketchDetector):
 
     def memory_bytes(self) -> int:
         """The sketch, each tracked flow's key, fold, count and registers,
-        and the ids tracked flows buffer until ``report()`` flushes them."""
+        and the ids tracked flows buffer (fewer than ``registers`` each)."""
         per_flow = 13 + 8 + 8 + self.registers * self.instances
         buffered = sum(ids.nbytes for flow in self.tracked.values() for ids in flow._pending)
         return super().memory_bytes() + len(self.tracked) * per_flow + buffered

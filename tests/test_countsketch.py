@@ -114,6 +114,22 @@ def test_epsilon_ell2_bound_holds_for_most_keys(first, more, rows, buckets, seed
     assert within.mean() >= 0.9, (within.mean(), rows, buckets)
 
 
+@settings(derandomize=True, max_examples=100)
+@given(rows=st.integers(1, 7),
+       buckets=st.one_of(st.sampled_from([1, 3, 2000, 4096, 12345]), st.integers(1, 1 << 15)),
+       seed=st.integers(0, 2**32 - 1),
+       folds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=200))
+def test_doubled_buckets_refine_every_row(rows, buckets, seed, folds):
+    # countsketch docstring: with the same run seed, a key's cell at 2B,
+    # floor-divided by 2, is its cell at B, and its signs are the same, so
+    # doubling the buckets only splits buckets (criterion 10's budgets)
+    folds = np.array(folds, dtype=np.uint64)
+    cells, signs = CountSketchTable(rows, buckets, run_seed=seed)._cells(folds)
+    doubled, doubled_signs = CountSketchTable(rows, 2 * buckets, run_seed=seed)._cells(folds)
+    np.testing.assert_array_equal(doubled // 2, cells)
+    np.testing.assert_array_equal(doubled_signs, signs)
+
+
 def test_merge_linearity_exact(rng):
     keys = random_keys(rng, 200)
     a = CountSketchTable(5, 128, run_seed=9)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowsift.loss import LossDetector, loss_count_estimate
+from flowsift.oracle import loss_counts
 from flowsift.packets import PacketRecord, PacketType
 from flowsift.traceio import Trace
 
@@ -37,6 +38,17 @@ def test_complete_even_flow_cancels_exactly():
 
 def test_complete_odd_flow_leaves_at_most_one():
     assert abs(single_flow_estimate(range(1, 2002))) <= 1
+
+
+@pytest.mark.parametrize("repeated", [1, 500, 2000])
+def test_repeated_id_steps_the_walk_of_a_lossless_flow(repeated):
+    # loss docstring: a repeated id is an unpaired step, so one id sent
+    # twice walks to magnitude 1 while the exact missing-id count is 0
+    seqs = list(range(1, 2001))
+    seqs.insert(repeated, repeated)
+    assert abs(single_flow_estimate(seqs)) == 1
+    _, missing = loss_counts(single_flow_trace(seqs))
+    assert missing.tolist() == [0]
 
 
 def test_random_removal_walk_matches_expectation():

@@ -2,7 +2,7 @@ from collections import deque
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from flowsift import hashing, ooo
 from flowsift.inject import InjectionPlan, inject_reorder
@@ -52,6 +52,19 @@ def test_duplicate_id_counts_as_out_of_order():
     observe_seqs(det, key, [(1, 0), (2, MS), (2, 2 * MS)])
     assert det.cache.dropped == 0
     assert det.table.weight(key.to_bytes()) == 1
+
+
+def test_duplicated_id_makes_the_flow_out_of_order():
+    # ooo docstring: a repeated id is at or below the flow's highest id, so
+    # a duplicate inside the window is late for the detector and the oracle
+    key = make_key(0)
+    seqs = list(range(1, 21))
+    seqs.insert(12, 7)                  # id 7 sent again after id 12
+    trace = Trace.from_records([data_packet(key, seq, i * 10_000)
+                                for i, seq in enumerate(seqs)])
+    report = OooDetector(slots=8, cache_capacity=1 << 10).run(trace, 1)
+    assert report.entries == [(key.to_bytes(), 100.0)]
+    assert oracle_ooo(trace) == {key.to_bytes(): 100}
 
 
 def test_non_data_packets_skipped():
@@ -275,6 +288,21 @@ def test_every_entry_sits_in_one_of_its_candidates(packets, capacity, window, ru
         for slot, entry in held:
             assert slot in stage_slots(hashes, entry[0], capacity // STAGES)
         assert len({entry[0] for _, entry in held}) == len(held)
+
+
+@settings(derandomize=True, max_examples=100)
+@given(capacity=st.integers(1, 1 << 12).map(lambda n: STAGES * n),
+       run_seed=st.integers(0, 2**32 - 1),
+       folds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=200))
+def test_stage_slots_at_doubled_capacity_nest_onto_the_half(capacity, run_seed, folds):
+    # ooo docstring: at capacity 2c with the same run seed, every key's
+    # stage slot, floor-divided by 2, is its stage slot at c; only the
+    # first-fit placement over those slots does not nest
+    folds = np.array(folds, dtype=np.uint64)
+    slots = RecencyCache(capacity, run_seed=run_seed)._candidates(folds)
+    doubled = RecencyCache(2 * capacity, run_seed=run_seed)._candidates(folds)
+    assert slots.shape == (STAGES, len(folds))
+    np.testing.assert_array_equal(doubled // 2, slots)
 
 
 @given(packets_st, cache_st[1], cache_st[2], cache_st[3])

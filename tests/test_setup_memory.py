@@ -23,10 +23,12 @@ record took it to 0.84), and the block draws give the one-shot stream on
 an epoch longer than one block.
 
 The reorder injector's oracle over the victims' rows (a third of the
-records here) builds only their restamped timestamps, orders them first
-and gathers the rows once, already sorted: it stays under
+records here) gathers those rows once and places the delayed ones with
+``_merged``, the merge that writes the output trace, which frees the
+gathered rows before the oracle runs: it stays under
 ``VICTIM_ORACLE_BOUND`` record arrays, where a gather followed by
-``time_sorted``'s second gather took 1.19.
+``time_sorted``'s second gather took 1.19, and keeping the gathered rows
+until the oracle ran took 1.20.
 """
 
 import tracemalloc
@@ -44,7 +46,7 @@ from flowsift.traceio import Trace
 SYNTH = SynthConfig(flows=2_000, packets=50_000, seed=1)    # ~105 k records
 SLACK = 0.9      # record arrays' worth of column temporaries
 SAMPLING_BOUND = 0.75    # record arrays; ranking the flows alone takes 0.7
-VICTIM_ORACLE_BOUND = 1.0    # record arrays; 0.84 here
+VICTIM_ORACLE_BOUND = 1.0    # record arrays; 0.88 here
 RATES = {"latency": 1_000_000, "loss": 0.1, "reorder": 0.1, "duplicate": 0.1}
 
 
